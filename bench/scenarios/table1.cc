@@ -120,7 +120,7 @@ renderLegacy(const Report &report, const RunOptions &, std::FILE *out)
     std::fprintf(out,
                  "\nagreement with paper: %u/%u cells "
                  "(+%u documented deviations where the simulator finds "
-                 "a real leak; see EXPERIMENTS.md)\n",
+                 "a real leak; see docs/defenses.md)\n",
                  agree, total, deviations);
     return (agree + deviations == total) ? 0 : 1;
 }

@@ -70,7 +70,8 @@ bool expectedVulnerable(GadgetKind g, OrderingKind o, SchemeKind s);
  *    Speculation forwards speculative L1 hits and does not protect
  *    I-fetches, so the frontend back-throttling channel works.
  *
- * See EXPERIMENTS.md for the full discussion.
+ * docs/defenses.md ("Documented deviations from Table 1") discusses
+ * each one.
  */
 bool knownDeviation(GadgetKind g, OrderingKind o, SchemeKind s);
 

@@ -58,7 +58,13 @@ CommitUnit::retire(std::vector<std::unique_ptr<ThreadContext>> &threads,
                        th.storeSeqs.front() == h.seq);
                 th.storeSeqs.erase(th.storeSeqs.begin());
             }
-            if (h.isLoad()) {
+            if (h.isLoad() &&
+                (h.exposurePending || h.deferredTouchPending)) {
+                // Not yet released by the safety stage (a ROB-head
+                // safe point reached only now): the oldest entry of
+                // the pending-visibility list.
+                assert(!th.visQ.empty() && th.visQ.front() == h.seq);
+                th.visQ.erase(th.visQ.begin());
                 if (h.exposurePending) {
                     // The prefetcher trained (scheme permitting) when
                     // the invisible request was issued; the exposure
@@ -66,13 +72,11 @@ CommitUnit::retire(std::vector<std::unique_ptr<ThreadContext>> &threads,
                     hier_.access(id_, h.effAddr(), AccessType::Data, now,
                                  MemIntent::Read, /*train=*/false);
                     h.exposurePending = false;
-                    --th.pendingVisibility;
                 }
                 if (h.deferredTouchPending) {
                     hier_.l1DeferredTouch(id_, h.effAddr(),
                                           AccessType::Data);
                     h.deferredTouchPending = false;
-                    --th.pendingVisibility;
                 }
             }
             if (h.ifetchExposureLine() != kAddrInvalid) {
@@ -179,7 +183,7 @@ CommitUnit::resolveBranch(ThreadContext &th, DynInst &br, Tick now)
     br.actualTaken() = evalCond(br.si().cond, br.src1Val(), br.src2Val());
     br.mispredicted() = br.actualTaken() != br.predictedTaken();
     br.resolved = true;
-    --th.numUnresolvedBranches;
+    eraseSeq(th.unresolvedBranches, br.seq);
     th.predictor.update(br.pc(), br.actualTaken());
     ++th.stats.branches;
     if (br.mispredicted()) {
@@ -275,10 +279,19 @@ CommitUnit::writeback(std::vector<std::unique_ptr<ThreadContext>> &threads,
         }
         inst->state = InstState::WrittenBack;
         inst->wbAt() = now;
-        if (inst->isLoad())
-            --th->numIncompleteLoads;
-        else if (inst->isStore())
-            --th->numIncompleteStores;
+        if (inst->isLoad()) {
+            eraseSeq(th->incompleteLoads, inst->seq);
+            if (inst->exposurePending || inst->deferredTouchPending) {
+                // Executed with its visibility deferred: from now on
+                // the safety stage tracks it. Loads complete out of
+                // order, so insert in age position.
+                auto &q = th->visQ;
+                q.insert(std::upper_bound(q.begin(), q.end(), inst->seq),
+                         inst->seq);
+            }
+        } else if (inst->isStore()) {
+            eraseSeq(th->incompleteStores, inst->seq);
+        }
         ports_.releaseIfHeldBy(inst->seq, th->tid);
         wakeConsumers(*th, *inst, now);
         --slots;
@@ -297,24 +310,13 @@ CommitUnit::squashAfter(ThreadContext &th, const DynInst &br, Tick now)
             continue;
         rs_.release(const_cast<DynInst &>(inst));
         lsq_.release(inst);
-        if (inst.exposurePending)
-            --th.pendingVisibility;
-        if (inst.deferredTouchPending)
-            --th.pendingVisibility;
-        if (inst.isBranch()) {
-            if (!inst.resolved)
-                --th.numUnresolvedBranches;
-        } else if (inst.isLoad()) {
-            if (!inst.executed())
-                --th.numIncompleteLoads;
-        } else if (inst.isStore()) {
-            if (!inst.executed())
-                --th.numIncompleteStores;
-        }
     }
     th.rob.squashYoungerThan(bound);
-    while (!th.storeSeqs.empty() && th.storeSeqs.back() > bound)
-        th.storeSeqs.pop_back();
+    for (auto *list : {&th.storeSeqs, &th.unresolvedBranches,
+                       &th.incompleteLoads, &th.incompleteStores,
+                       &th.visQ}) {
+        popYoungerThan(*list, bound);
+    }
     ports_.squashThread(th.tid, bound);
     mshr_.squashThread(th.tid, bound);
     th.scheme->filterSquashYoungerThan(bound);

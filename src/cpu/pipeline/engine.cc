@@ -277,15 +277,23 @@ PipelineEngine::nextTransitionAt() const
             return now_;
         }
 
+        // Shadows and safe points are seq compares against the
+        // thread's frontiers — the same definitions the safety and
+        // issue stages use.
         const SafePoint sp = th.scheme->safePoint();
-        // The running shadow state is folded into this single walk
-        // (same recurrence as ThreadContext::computeShadows): each
-        // instruction sees the shadows of strictly older entries.
-        ShadowInfo running;
-        for (const auto &inst : th.rob) {
-            const ShadowInfo sh = running;
-            shadowStep(running, inst);
+        const ShadowFrontier frontier = th.frontier();
+        const SeqNum safe_frontier =
+            th.rob.empty() ? kSeqNumInvalid : th.safeFrontier(sp);
 
+        // Safety stage: an executed load with a pending visibility op
+        // (the oldest visQ entry) transitions the cycle it becomes
+        // safe. If it is not safe now, it can only become safe after
+        // another captured event (branch resolution, load completion,
+        // retire).
+        if (!th.visQ.empty() && th.visQ.front() <= safe_frontier)
+            return now_;
+
+        for (const auto &inst : th.rob) {
             if (inst.state == InstState::Issued) {
                 // Writeback (and branch resolution / squash) fires the
                 // cycle completeAt is reached; a completed instruction
@@ -294,16 +302,6 @@ PipelineEngine::nextTransitionAt() const
                     return now_;
                 next = std::min(next, inst.completeAt);
                 continue;
-            }
-
-            // Safety stage: an executed load with a pending visibility
-            // op transitions the cycle it becomes safe. If it is not
-            // safe now, it can only become safe after another captured
-            // event (branch resolution, load completion, retire).
-            if (inst.isLoad() && inst.executed() &&
-                (inst.exposurePending || inst.deferredTouchPending) &&
-                th.isSafe(inst, sh, sp)) {
-                return now_;
             }
 
             if (inst.state != InstState::Dispatched ||
@@ -315,13 +313,14 @@ PipelineEngine::nextTransitionAt() const
             // with no state change, and they can only unblock after an
             // event already captured above. Mirror its gates exactly.
             if (inst.loadPhase == LoadPhase::WaitSafe &&
-                !th.isSafe(inst, sh, sp)) {
+                inst.seq > safe_frontier) {
                 continue;
             }
             if (inst.isFence() &&
                 th.rob.head().seq != inst.seq) {
                 continue;
             }
+            const ShadowInfo sh = frontier.shadowsOf(inst.seq);
             IssueContext ctx;
             ctx.olderUnresolvedBranch = sh.olderUnresolvedBranch;
             ctx.olderIncompleteLoad = sh.olderIncompleteLoad;

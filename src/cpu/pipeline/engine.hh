@@ -179,6 +179,14 @@ class PipelineEngine
     std::uint64_t archReg(ThreadId tid, RegId reg) const;
     /** Per-cycle contention samples (empty unless recordContention). */
     const std::vector<ContentionSample> &contention(ThreadId tid) const;
+    /** Thread @p tid's pipeline state (window, lists, scheme), for
+     *  invariant checks from a cycle hook. */
+    const ThreadContext &thread(ThreadId tid) const
+    {
+        return *threads_[tid];
+    }
+    /** Safety-stage work counter (Scheduler::safetyVisits). */
+    std::uint64_t safetyVisits() const { return sched_.safetyVisits(); }
     /// @}
 
     /** Fetch-stage grants per thread over the last run (fairness). */

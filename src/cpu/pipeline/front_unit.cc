@@ -96,11 +96,11 @@ FrontUnit::dispatch(std::vector<std::unique_ptr<ThreadContext>> &threads,
         if (stored.src1Ready && stored.src2Ready)
             th->readyQ.push_back(stored.seq);
         if (stored.isBranch()) {
-            ++th->numUnresolvedBranches;
+            th->unresolvedBranches.push_back(stored.seq);
         } else if (stored.isLoad()) {
-            ++th->numIncompleteLoads;
+            th->incompleteLoads.push_back(stored.seq);
         } else if (stored.isStore()) {
-            ++th->numIncompleteStores;
+            th->incompleteStores.push_back(stored.seq);
             th->storeSeqs.push_back(stored.seq);
         }
         ++th->nextSeq;
@@ -140,9 +140,9 @@ FrontUnit::fetch(std::vector<std::unique_ptr<ThreadContext>> &threads,
     ++th.stats.fetchGrants;
 
     const auto ifetch = [&](Addr line) -> IFetchResult {
-        // The unresolved-branch counter is exactly the old whole-ROB
-        // "any unresolved branch" scan.
-        const bool speculative = th.numUnresolvedBranches > 0;
+        // Any unresolved branch in the window makes the fetch
+        // speculative.
+        const bool speculative = !th.unresolvedBranches.empty();
         if (th.scheme->protectsIFetch() && speculative) {
             const MemAccessResult res = hier_.accessInvisible(
                 id_, line, AccessType::Instr, now);

@@ -23,22 +23,17 @@ Scheduler::safety(std::vector<std::unique_ptr<ThreadContext>> &threads,
 {
     for (auto &tp : threads) {
         ThreadContext &th = *tp;
-        if (th.pendingVisibility == 0)
-            continue; // no deferred visibility op anywhere in the ROB
-        const SafePoint sp = th.scheme->safePoint();
-        // Running shadow computed inline during the walk (the
-        // recurrence of ThreadContext::computeShadows): each
-        // instruction sees the shadows of strictly older entries.
-        ShadowInfo running;
-        for (auto &inst : th.rob) {
-            const ShadowInfo sh = running;
-            shadowStep(running, inst);
-            if (!inst.isLoad() || !inst.executed())
-                continue;
-            if (!(inst.exposurePending || inst.deferredTouchPending))
-                continue;
-            if (!th.isSafe(inst, sh, sp))
-                continue;
+        if (th.visQ.empty())
+            continue; // no executed load has a deferred visibility op
+        // visQ is age-ordered and holds only executed loads, and a
+        // load is safe iff it is not younger than the safe frontier:
+        // the releasable loads are exactly a prefix of the list, and
+        // releasing them in list order is ROB order.
+        const SeqNum frontier = th.safeFrontier(th.scheme->safePoint());
+        auto it = th.visQ.begin();
+        for (; it != th.visQ.end() && *it <= frontier; ++it) {
+            DynInst &inst = *th.rob.find(*it);
+            ++safetyVisits_;
             if (inst.exposurePending) {
                 // InvisiSpec-style exposure: the load's visible cache
                 // fill happens now, when it ceases to be speculative.
@@ -47,16 +42,15 @@ Scheduler::safety(std::vector<std::unique_ptr<ThreadContext>> &threads,
                 hier_.access(id_, inst.effAddr(), AccessType::Data, now,
                              MemIntent::Read, /*train=*/false);
                 inst.exposurePending = false;
-                --th.pendingVisibility;
             }
             if (inst.deferredTouchPending) {
                 // DoM deferred replacement update.
                 hier_.l1DeferredTouch(id_, inst.effAddr(),
                                       AccessType::Data);
                 inst.deferredTouchPending = false;
-                --th.pendingVisibility;
             }
         }
+        th.visQ.erase(th.visQ.begin(), it);
     }
 }
 
@@ -98,9 +92,6 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
     order_.clear();
     for (auto &tp : threads) {
         ThreadContext &th = *tp;
-        if (th.readyQ.empty())
-            continue;
-        const std::size_t begin_idx = order_.size();
         std::size_t keep = 0;
         for (const SeqNum seq : th.readyQ) {
             DynInst *inst = th.rob.find(seq);
@@ -109,51 +100,9 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
                 continue;
             }
             th.readyQ[keep++] = seq;
-            order_.push_back({&th, inst, {}});
+            order_.push_back({&th, inst});
         }
         th.readyQ.resize(keep);
-        if (order_.size() == begin_idx)
-            continue;
-
-        // Shadow info for the candidates: each property holds for a
-        // candidate iff the oldest ROB entry having it is older than
-        // the candidate. The counters bound an early-exit scan for
-        // those oldest instances (kSeqNumInvalid = none, compares
-        // older than nothing).
-        SeqNum min_br = kSeqNumInvalid;
-        SeqNum min_ld = kSeqNumInvalid;
-        SeqNum min_st = kSeqNumInvalid;
-        bool want_br = th.numUnresolvedBranches > 0;
-        bool want_ld = th.numIncompleteLoads > 0;
-        bool want_st = th.numIncompleteStores > 0;
-        for (std::size_t i = 0;
-             (want_br || want_ld || want_st) && i < th.rob.size();
-             ++i) {
-            const DynInst &inst = *th.rob.at(i);
-            if (inst.isBranch()) {
-                if (want_br && !inst.resolved) {
-                    min_br = inst.seq;
-                    want_br = false;
-                }
-            } else if (inst.isLoad()) {
-                if (want_ld && !inst.executed()) {
-                    min_ld = inst.seq;
-                    want_ld = false;
-                }
-            } else if (inst.isStore()) {
-                if (want_st && !inst.executed()) {
-                    min_st = inst.seq;
-                    want_st = false;
-                }
-            }
-        }
-        const SeqNum min_mem = std::min(min_ld, min_st);
-        for (std::size_t i = begin_idx; i < order_.size(); ++i) {
-            Cand &c = order_[i];
-            c.sh.olderUnresolvedBranch = min_br < c.inst->seq;
-            c.sh.olderIncompleteLoad = min_ld < c.inst->seq;
-            c.sh.olderIncompleteMem = min_mem < c.inst->seq;
-        }
     }
     if (order_.empty())
         return;
@@ -165,11 +114,13 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
                   return a.inst->stamp < b.inst->stamp;
               });
 
+    // Shadows and safe points come from the per-thread frontiers,
+    // which nothing in this stage moves (branches resolve and memory
+    // ops execute at writeback): each is a seq compare.
     unsigned issued = 0;
     for (const Cand &c : order_) {
         ThreadContext &th = *c.th;
         DynInst &inst = *c.inst;
-        const ShadowInfo &sh = c.sh;
         if (issued >= cfg_.issueWidth)
             break;
         if (inst.state != InstState::Dispatched)
@@ -181,7 +132,7 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
 
         // Loads the scheme parked until their safe point.
         if (inst.loadPhase == LoadPhase::WaitSafe &&
-            !th.isSafe(inst, sh, th.scheme->safePoint())) {
+            !th.isSafe(inst.seq, th.scheme->safePoint())) {
             continue;
         }
 
@@ -190,6 +141,7 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
             continue;
 
         // Scheme issue gate (fence defenses).
+        const ShadowInfo sh = th.frontier().shadowsOf(inst.seq);
         IssueContext ctx;
         ctx.olderUnresolvedBranch = sh.olderUnresolvedBranch;
         ctx.olderIncompleteLoad = sh.olderIncompleteLoad;
@@ -250,7 +202,7 @@ Scheduler::tryIssue(ThreadContext &th, DynInst &inst,
 
     if (inst.isLoad()) {
         if (!issueLoad(th, inst,
-                       th.isSafe(inst, sh, th.scheme->safePoint()),
+                       th.isSafe(inst.seq, th.scheme->safePoint()),
                        speculative, now, noise)) {
             return false;
         }
@@ -385,7 +337,6 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
                 now + hier_.config().l1Latency + jitter;
             inst.result() = mem_.read(inst.effAddr());
             inst.deferredTouchPending = true;
-            ++th.pendingVisibility;
             inst.loadPhase = LoadPhase::InFlight;
             return true;
         }
@@ -405,7 +356,6 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
                 now + hier_.config().l1Latency + jitter;
             inst.result() = mem_.read(inst.effAddr());
             inst.exposurePending = true;
-            ++th.pendingVisibility;
             inst.loadPhase = LoadPhase::InFlight;
             return true;
         }
@@ -441,7 +391,6 @@ Scheduler::issueLoad(ThreadContext &th, DynInst &inst, bool safe,
         inst.completeAt = now + res.latency + jitter;
         inst.result() = mem_.read(inst.effAddr());
         inst.exposurePending = true;
-        ++th.pendingVisibility;
         inst.loadPhase = LoadPhase::InFlight;
         if (policy == SpecLoadPolicy::InvisibleFilter)
             th.scheme->filterFill(line, inst.seq);

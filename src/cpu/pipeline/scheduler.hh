@@ -44,7 +44,9 @@ class Scheduler
     {}
 
     /** Safety transitions: perform pending exposure accesses and
-     *  deferred replacement updates for loads past their safe point. */
+     *  deferred replacement updates for loads past their safe point.
+     *  Works only on each thread's pending-visibility list (visQ),
+     *  never on the ROB. */
     void safety(std::vector<std::unique_ptr<ThreadContext>> &threads,
                 Tick now);
 
@@ -53,14 +55,18 @@ class Scheduler
     void issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
                Tick now, NoiseModel *noise);
 
+    /** Work counter: visQ entries the safety stage has visited since
+     *  construction. Each visit releases a load, so it is bounded by
+     *  the loads that deferred their visibility, not by window size
+     *  times cycles (tests/test_safety_invariant.cc asserts the
+     *  bound). Deliberately not published to the metric registry. */
+    std::uint64_t safetyVisits() const { return safetyVisits_; }
+
   private:
     struct Cand
     {
         ThreadContext *th;
         DynInst *inst;
-        /** By value: the running shadow is computed during the build
-         *  walk, and candidates are a small filtered subset. */
-        ShadowInfo sh;
     };
 
     /** Attempt to issue @p inst. @return true if it left the RS. */
@@ -84,6 +90,7 @@ class Scheduler
 
     /** Reused per-cycle buffer (hot path: no per-cycle alloc). */
     std::vector<Cand> order_;
+    std::uint64_t safetyVisits_ = 0;
 };
 
 } // namespace specint

@@ -1,11 +1,13 @@
 /**
  * @file
  * ThreadContext implementation: per-thread run reset and the helper
- * computations (shadows, safe points, rename) shared by every stage
+ * computations (safe-point frontiers, rename) shared by every stage
  * component of the unified pipeline engine.
  */
 
 #include "cpu/pipeline/thread_context.hh"
+
+#include <cassert>
 
 #include "sim/log.hh"
 #include "spec/unsafe.hh"
@@ -38,43 +40,41 @@ ThreadContext::resetRun(const Program *p)
     trace.clear();
     samples.clear();
     minWbAt = 0;
-    pendingVisibility = 0;
     readyQ.clear();
     inflightQ.clear();
     storeSeqs.clear();
-    numUnresolvedBranches = 0;
-    numIncompleteLoads = 0;
-    numIncompleteStores = 0;
+    unresolvedBranches.clear();
+    incompleteLoads.clear();
+    incompleteStores.clear();
+    visQ.clear();
     scheme->reset();
 }
 
-void
-ThreadContext::computeShadows(std::vector<ShadowInfo> &out) const
-{
-    out.clear();
-    out.reserve(rob.size());
-    ShadowInfo running;
-    for (const auto &inst : rob) {
-        out.push_back(running);
-        shadowStep(running, inst);
-    }
-}
-
-bool
-ThreadContext::isSafe(const DynInst &inst, const ShadowInfo &sh,
-                      SafePoint sp) const
+SeqNum
+ThreadContext::safeFrontier(SafePoint sp) const
 {
     switch (sp) {
       case SafePoint::Always:
-        return true;
+        return kSeqNumInvalid;
       case SafePoint::BranchesResolved:
-        return !sh.olderUnresolvedBranch;
-      case SafePoint::TSO:
-        return !sh.olderUnresolvedBranch && !sh.olderIncompleteMem;
+        return frontier().branch;
+      case SafePoint::TSO: {
+        const ShadowFrontier f = frontier();
+        return std::min({f.branch, f.load, f.store});
+      }
       case SafePoint::RobHead:
-        return !rob.empty() && rob.head().seq == inst.seq;
+        assert(!rob.empty());
+        return rob.head().seq;
     }
-    panic("ThreadContext::isSafe: unknown SafePoint");
+    panic("ThreadContext::safeFrontier: unknown SafePoint");
+}
+
+void
+eraseSeq(std::vector<SeqNum> &list, SeqNum seq)
+{
+    const auto it = std::lower_bound(list.begin(), list.end(), seq);
+    assert(it != list.end() && *it == seq);
+    list.erase(it);
 }
 
 void

@@ -20,6 +20,7 @@
 #ifndef SPECINT_CPU_PIPELINE_THREAD_CONTEXT_HH
 #define SPECINT_CPU_PIPELINE_THREAD_CONTEXT_HH
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <memory>
@@ -80,8 +81,8 @@ struct ContentionSample
     bool mshrContended = false;
 };
 
-/** Per-instruction speculative-shadow context, recomputed each cycle
- *  in one age-ordered ROB pass. */
+/** Speculative shadows cast on one instruction by the strictly older
+ *  entries of its thread's window. */
 struct ShadowInfo
 {
     bool olderUnresolvedBranch = false;
@@ -92,9 +93,10 @@ struct ShadowInfo
 /**
  * Fold one instruction into a running ShadowInfo. Walking the ROB in
  * age order and reading @p running *before* each step yields the
- * shadows of strictly older entries — the single definition shared by
- * the scheduler stages, the fast-forward predicate and
- * ThreadContext::computeShadows.
+ * shadows of strictly older entries. This full-walk recurrence is the
+ * definition the O(1) ShadowFrontier must agree with;
+ * tests/test_safety_invariant.cc folds it every cycle to check the
+ * event-driven safety stage.
  */
 inline void
 shadowStep(ShadowInfo &running, const DynInst &inst)
@@ -107,6 +109,41 @@ shadowStep(ShadowInfo &running, const DynInst &inst)
     }
     if (inst.isStore() && !inst.executed())
         running.olderIncompleteMem = true;
+}
+
+/**
+ * The oldest shadow-casting instruction of each kind in one thread's
+ * window (kSeqNumInvalid = none, which compares younger than every
+ * real seq). An instruction's shadows are exactly the kinds whose
+ * oldest instance is older than it — what shadowStep folds to.
+ */
+struct ShadowFrontier
+{
+    SeqNum branch = kSeqNumInvalid; ///< oldest unresolved branch
+    SeqNum load = kSeqNumInvalid;   ///< oldest unexecuted load
+    SeqNum store = kSeqNumInvalid;  ///< oldest unexecuted store
+
+    ShadowInfo
+    shadowsOf(SeqNum seq) const
+    {
+        ShadowInfo sh;
+        sh.olderUnresolvedBranch = branch < seq;
+        sh.olderIncompleteLoad = load < seq;
+        sh.olderIncompleteMem = std::min(load, store) < seq;
+        return sh;
+    }
+};
+
+/** Erase @p seq from the seq-sorted list @p list (it must be there). */
+void eraseSeq(std::vector<SeqNum> &list, SeqNum seq);
+
+/** Drop the entries younger than @p bound from the back of the
+ *  seq-sorted list @p list (a squash). */
+inline void
+popYoungerThan(std::vector<SeqNum> &list, SeqNum bound)
+{
+    while (!list.empty() && list.back() > bound)
+        list.pop_back();
 }
 
 /** Per-thread pipeline context (see file comment). */
@@ -148,28 +185,13 @@ struct ThreadContext
      *  value only costs a wasted scan, never a missed event. */
     Tick minWbAt = 0;
 
-    /** Number of set exposurePending/deferredTouchPending flags across
-     *  this thread's ROB (each flag counts separately). The safety
-     *  stage skips its ROB walk while zero — permanently so under
-     *  schemes that never defer visibility (Unsafe, fence-style). */
-    unsigned pendingVisibility = 0;
-
-    /** @name Issue-stage candidate tracking
-     *  readyQ holds the seqs of instructions that became Dispatched
-     *  with both sources ready (at dispatch, on a wakeup, or when an
-     *  EU preemption returned them to Dispatched). It is a superset:
-     *  the issue stage revalidates and compacts it each cycle, so
-     *  entries stranded by a squash (or pointing at a reused seq) are
-     *  dropped or deduplicated there. The three counters track how
-     *  many ROB entries currently have each shadow-relevant property,
-     *  letting the issue stage find the oldest instance of each with
-     *  an early-exit scan instead of walking the whole window. */
-    /// @{
+    /** Issue-stage candidates: the seqs of instructions that became
+     *  Dispatched with both sources ready (at dispatch, on a wakeup,
+     *  or when an EU preemption returned them to Dispatched). A
+     *  superset: the issue stage revalidates and compacts it each
+     *  cycle, so entries stranded by a squash (or pointing at a reused
+     *  seq) are dropped or deduplicated there. */
     std::vector<SeqNum> readyQ;
-    unsigned numUnresolvedBranches = 0;
-    unsigned numIncompleteLoads = 0;
-    unsigned numIncompleteStores = 0;
-    /// @}
 
     /** Seqs of instructions currently Issued (in flight toward
      *  writeback), pushed at issue. A superset under the same rules as
@@ -179,25 +201,59 @@ struct ThreadContext
      *  few in-flight instructions instead of the whole window. */
     std::vector<SeqNum> inflightQ;
 
-    /** Seqs of this thread's in-flight stores, sorted by age. Unlike
-     *  readyQ/inflightQ this list is exact, not self-compacting: a
-     *  store is appended at dispatch, dropped from the front when it
-     *  retires (retirement is age-ordered) and from the back when a
-     *  squash discards it — so disambiguating a load walks only the
-     *  older stores instead of the whole window prefix. */
+    /** @name Exact seq-sorted lists
+     *  Unlike readyQ/inflightQ these are exact, never stale: an entry
+     *  is appended in age order (dispatch), erased when its property
+     *  ends, and popped from the back when a squash discards it. */
+    /// @{
+    /** In-flight stores, dropped from the front at retirement — so
+     *  disambiguating a load walks only the older stores instead of
+     *  the whole window prefix. */
     std::vector<SeqNum> storeSeqs;
+    /** Branches not yet resolved (erased at resolution). */
+    std::vector<SeqNum> unresolvedBranches;
+    /** Loads not yet executed (erased at writeback). */
+    std::vector<SeqNum> incompleteLoads;
+    /** Stores not yet executed (erased at writeback). */
+    std::vector<SeqNum> incompleteStores;
+    /** Pending-visibility list: the executed loads whose
+     *  exposurePending/deferredTouchPending is still set. A load is
+     *  inserted (in age order) at writeback when it carries a flag,
+     *  and erased when the safety stage releases it, when it retires
+     *  with a flag still set, or when a squash discards it. The safety
+     *  stage does nothing while it is empty — permanently so under
+     *  schemes that never defer visibility (Unsafe, fence-style). */
+    std::vector<SeqNum> visQ;
+    /// @}
 
     /** Reset all run state and start executing @p p from its entry. */
     void resetRun(const Program *p);
 
-    /** Compute shadow info for every ROB entry (age order) into
-     *  @p out, which is cleared first — a caller-owned buffer so the
-     *  per-cycle stages never reallocate on the hot path. */
-    void computeShadows(std::vector<ShadowInfo> &out) const;
+    /** Oldest unresolved branch, unexecuted load and unexecuted store,
+     *  in O(1) from the exact lists above. */
+    ShadowFrontier
+    frontier() const
+    {
+        ShadowFrontier f;
+        if (!unresolvedBranches.empty())
+            f.branch = unresolvedBranches.front();
+        if (!incompleteLoads.empty())
+            f.load = incompleteLoads.front();
+        if (!incompleteStores.empty())
+            f.store = incompleteStores.front();
+        return f;
+    }
 
-    /** Is @p inst past safe point @p sp given its shadow info? */
-    bool isSafe(const DynInst &inst, const ShadowInfo &sh,
-                SafePoint sp) const;
+    /** Safe-point frontier: an instruction of this thread's
+     *  (non-empty) window is past safe point @p sp iff its seq is not
+     *  younger than (<=) this value. */
+    SeqNum safeFrontier(SafePoint sp) const;
+
+    /** Is the instruction with @p seq past safe point @p sp? */
+    bool isSafe(SeqNum seq, SafePoint sp) const
+    {
+        return seq <= safeFrontier(sp);
+    }
 
     /** Read a source register through the rename map; registers
      *  @p inst on the producer's waiter list when the value is still

@@ -11,12 +11,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <stdexcept>
 #include <thread>
 
+#include <time.h>
 #include <unistd.h>
 
 #include "scenarios/scenarios.hh"
@@ -504,19 +506,78 @@ TEST(RegisteredScenarios, Fig11FixtureReuseIsByteIdentical)
               redactTimings(reused.renderJson()));
 }
 
+namespace
+{
+
+/** CPU time consumed by the calling thread, microseconds. */
+std::uint64_t
+threadCpuUs()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000 +
+           static_cast<std::uint64_t>(ts.tv_nsec) / 1'000;
+}
+
+/**
+ * Parallelism this process actually gets right now: @p threads
+ * threads each burn @p burn_us of their own CPU time, and the result
+ * is summed thread CPU over wall time (~threads on an idle multi-core
+ * host, ~1 when the advertised cores are shared or throttled).
+ */
+double
+measuredParallelism(unsigned threads, std::uint64_t burn_us)
+{
+    std::vector<std::uint64_t> cpu(threads, 0);
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> pool;
+    for (unsigned i = 0; i < threads; ++i) {
+        pool.emplace_back([&cpu, i, burn_us] {
+            const std::uint64_t start = threadCpuUs();
+            volatile std::uint64_t sink = 0;
+            while (threadCpuUs() - start < burn_us) {
+                for (unsigned k = 0; k < 10'000; ++k)
+                    sink = sink + k;
+            }
+            cpu[i] = threadCpuUs() - start;
+        });
+    }
+    for (auto &t : pool)
+        t.join();
+    const double wall_us =
+        std::chrono::duration<double, std::micro>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : cpu)
+        total += c;
+    return static_cast<double>(total) / wall_us;
+}
+
+} // namespace
+
 TEST(RegisteredScenarios, Table1ParallelSweepIsFaster)
 {
     // The whole point of the parallel runner: the table1 sweep should
     // complete measurably faster than serial when real hardware
     // parallelism exists. CPU-time accounting keeps the comparison
     // honest (wall < summed per-point CPU cost = the serial estimate).
-    if (std::thread::hardware_concurrency() < 2)
-        GTEST_SKIP() << "needs >= 2 hardware threads";
+    // hardware_concurrency() only reports advertised cores, so first
+    // check that a CPU burn of about the sweep's own size (table1 is
+    // tens of ms of CPU) really runs in parallel here.
+    const unsigned jobs =
+        std::max(2u, std::thread::hardware_concurrency());
+    const double parallelism = measuredParallelism(jobs, 10'000);
+    if (parallelism < 1.5) {
+        GTEST_SKIP() << "no real parallelism: " << jobs
+                     << " threads burning CPU ran " << parallelism
+                     << "x faster than serial (need >= 1.5x)";
+    }
 
     const Scenario *sc = scenarios::all().find("table1");
     ASSERT_NE(sc, nullptr);
     RunOptions opt;
-    opt.jobs = std::thread::hardware_concurrency();
+    opt.jobs = jobs;
     const Report rep = ExperimentRunner(opt.jobs).run(*sc, opt);
     EXPECT_LT(rep.wallUs, rep.cpuUs())
         << "parallel sweep no faster than its serial cost estimate";

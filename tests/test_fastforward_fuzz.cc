@@ -53,10 +53,16 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
+/** Every safe point the safety and issue stages implement: Always
+ *  (Unsafe), BranchesResolved (DomNonTso, InvisiSpecSpectre,
+ *  SafeSpecWfb, AdvancedDefense), TSO (DomTso) and RobHead
+ *  (InvisiSpecFuturistic, MuonTrap, ConditionalSpec). */
 constexpr SchemeKind kSchemes[] = {
     SchemeKind::Unsafe,         SchemeKind::DomNonTso,
     SchemeKind::InvisiSpecSpectre, SchemeKind::SafeSpecWfb,
     SchemeKind::MuonTrap,       SchemeKind::AdvancedDefense,
+    SchemeKind::DomTso,         SchemeKind::InvisiSpecFuturistic,
+    SchemeKind::ConditionalSpec,
 };
 
 WorkloadSpec

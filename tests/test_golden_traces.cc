@@ -127,6 +127,20 @@ constexpr GoldenTrace kGoldenTraces[] = {
     {71u, SchemeKind::SafeSpecWfb, 25902, 881, 1180, 59, 116, 59, 270, 21, 0x642497def1f7cc6aULL},
     {71u, SchemeKind::MuonTrap, 25902, 881, 1180, 59, 116, 59, 270, 15, 0x642497def1f7cc6aULL},
     {71u, SchemeKind::AdvancedDefense, 19105, 881, 2740, 60, 143, 60, 730, 70, 0x642497def1f7cc6aULL},
+    // DomTso (the TSO safe point) and InvisiSpecFuturistic /
+    // ConditionalSpec (the ROB-head safe point), captured from the
+    // unified engine while its safety stage still rewalked the whole
+    // ROB every cycle: the reference the event-driven safety stage
+    // (pending-visibility list + shadow frontiers) must reproduce.
+    {11u, SchemeKind::DomTso, 60615, 882, 3196, 69, 164, 69, 1162, 74, 0x6ad714dbbfc53ca0ULL},
+    {11u, SchemeKind::InvisiSpecFuturistic, 14322, 882, 1745, 65, 132, 65, 492, 32, 0x6ad714dbbfc53ca0ULL},
+    {11u, SchemeKind::ConditionalSpec, 61040, 882, 3195, 69, 164, 69, 1162, 74, 0x6ad714dbbfc53ca0ULL},
+    {37u, SchemeKind::DomTso, 60720, 888, 3590, 62, 152, 62, 1234, 84, 0xea29e7580253d790ULL},
+    {37u, SchemeKind::InvisiSpecFuturistic, 17015, 888, 1943, 62, 110, 62, 586, 31, 0xea29e7580253d790ULL},
+    {37u, SchemeKind::ConditionalSpec, 61099, 888, 3611, 62, 153, 62, 1239, 85, 0xea29e7580253d790ULL},
+    {71u, SchemeKind::DomTso, 49125, 881, 3680, 61, 149, 61, 914, 77, 0x642497def1f7cc6aULL},
+    {71u, SchemeKind::InvisiSpecFuturistic, 15653, 881, 1592, 62, 129, 62, 383, 28, 0x642497def1f7cc6aULL},
+    {71u, SchemeKind::ConditionalSpec, 49450, 881, 3688, 61, 149, 61, 917, 77, 0x642497def1f7cc6aULL},
 };
 
 std::uint64_t
@@ -274,7 +288,7 @@ systemSpec(std::uint64_t seed, Addr data_base, Addr code_base)
 TEST(ReusedFixtureGoldenTest, ReusedCoreMatchesGoldenUnderEveryVariant)
 {
     for (const EngineVariant &v : kVariants) {
-        // One long-lived substrate per variant, reused across all 18
+        // One long-lived substrate per variant, reused across all 27
         // golden points in sequence — every row must still match the
         // numbers a fresh Core produces.
         Hierarchy hier(variantHierConfig(v));

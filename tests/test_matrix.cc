@@ -41,7 +41,7 @@ TEST_P(TableOne, MeasuredMatchesPaper)
     const MatrixCell cell = evaluateCell(g, o, s);
     if (knownDeviation(g, o, s)) {
         // Documented deviations: the simulator finds a real leak the
-        // paper's Table 1 marks safe (see EXPERIMENTS.md).
+        // paper's Table 1 marks safe (see docs/defenses.md).
         EXPECT_TRUE(cell.vulnerable);
         EXPECT_FALSE(expectedVulnerable(g, o, s));
     } else {

@@ -1,0 +1,325 @@
+/**
+ * @file
+ * The safety stage's invariant, checked every cycle.
+ *
+ * The safety stage is event-driven: it only looks at the per-thread
+ * pending-visibility list (visQ) and compares seqs against the shadow
+ * frontiers (the oldest unresolved branch / unexecuted load /
+ * unexecuted store). These tests re-derive everything it relies on
+ * from scratch, with the full-window shadowStep recurrence, from the
+ * engine's cycle hook (which disables fast-forward, so every cycle is
+ * observed) — over all 12 schemes, the Table-1 / Fig. 11 sender
+ * gadgets and fuzzed single- and two-thread programs:
+ *
+ *  - no executed load with a pending visibility op is past its safe
+ *    point (the stage released everything it should have);
+ *  - a load whose pending op was cleared since the previous cycle is
+ *    past its safe point (nothing was released early — safety is
+ *    monotonic, so it must still hold);
+ *  - the O(1) frontiers agree with the full walk for every entry, and
+ *    visQ is exactly the executed, flagged loads in age order;
+ *  - the safety stage's work counter is bounded by the number of
+ *    loads that deferred their visibility, not by window size times
+ *    cycles.
+ */
+
+#include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <vector>
+
+#include "attack/matrix.hh"
+#include "attack/trial_fixture.hh"
+#include "cpu/core.hh"
+#include "memory/hierarchy.hh"
+#include "smt/smt_core.hh"
+#include "spec/scheme.hh"
+#include "workload/generator.hh"
+
+namespace specint
+{
+namespace
+{
+
+/** Past safe point @p sp, by the full-walk definition: @p sh holds the
+ *  shadows of strictly older entries (shadowStep). */
+bool
+fullWalkSafe(SafePoint sp, const ShadowInfo &sh, const DynInst &inst,
+             const Rob &rob)
+{
+    switch (sp) {
+      case SafePoint::Always:
+        return true;
+      case SafePoint::BranchesResolved:
+        return !sh.olderUnresolvedBranch;
+      case SafePoint::TSO:
+        return !sh.olderUnresolvedBranch && !sh.olderIncompleteMem;
+      case SafePoint::RobHead:
+        return rob.head().seq == inst.seq;
+    }
+    return false;
+}
+
+bool
+pending(const DynInst &inst)
+{
+    return inst.isLoad() &&
+           (inst.exposurePending || inst.deferredTouchPending);
+}
+
+/**
+ * Cycle-hook checker for one run of one engine: it installs the
+ * per-cycle check for its lifetime. The engine must outlive it.
+ */
+class SafetyChecker
+{
+  public:
+    SafetyChecker(PipelineEngine &eng, std::string what)
+        : eng_(eng), what_(std::move(what)),
+          prevFlagged_(eng.numThreads())
+    {
+        eng_.setCycleHook([this](Tick now) { check(now); });
+    }
+    ~SafetyChecker() { eng_.clearCycleHook(); }
+    SafetyChecker(const SafetyChecker &) = delete;
+    SafetyChecker &operator=(const SafetyChecker &) = delete;
+
+    /** Distinct loads seen with a pending visibility op. Each such
+     *  load is seen at least once: its flag is set at issue, and it
+     *  cannot complete before the next cycle's hook. */
+    std::uint64_t flaggedLoads() const { return seen_.size(); }
+    std::uint64_t cycles() const { return cycles_; }
+
+    /** Every safety-stage visit releases a distinct flagged load. */
+    void
+    expectVisitsBounded() const
+    {
+        EXPECT_LE(eng_.safetyVisits(), flaggedLoads()) << what_;
+    }
+
+  private:
+    void
+    check(Tick now)
+    {
+        if (::testing::Test::HasFatalFailure())
+            return; // one report per run, not one per later cycle
+        ++cycles_;
+        for (ThreadId t = 0; t < eng_.numThreads(); ++t)
+            checkThread(eng_.thread(t), t, now);
+    }
+
+    void
+    checkThread(const ThreadContext &th, ThreadId t, Tick now)
+    {
+        const std::string at = what_ + " thread " + std::to_string(t) +
+                               " cycle " + std::to_string(now);
+        const SafePoint sp = th.scheme->safePoint();
+        const ShadowFrontier frontier = th.frontier();
+        std::set<std::uint64_t> flagged;
+        std::vector<SeqNum> executed_flagged;
+        ShadowInfo running;
+        for (const DynInst &inst : th.rob) {
+            const ShadowInfo sh = running;
+            shadowStep(running, inst);
+
+            const ShadowInfo fast = frontier.shadowsOf(inst.seq);
+            ASSERT_EQ(fast.olderUnresolvedBranch,
+                      sh.olderUnresolvedBranch) << at;
+            ASSERT_EQ(fast.olderIncompleteLoad, sh.olderIncompleteLoad)
+                << at;
+            ASSERT_EQ(fast.olderIncompleteMem, sh.olderIncompleteMem)
+                << at;
+            const bool safe = fullWalkSafe(sp, sh, inst, th.rob);
+            ASSERT_EQ(th.isSafe(inst.seq, sp), safe) << at;
+
+            if (!inst.isLoad())
+                continue;
+            if (pending(inst)) {
+                // Stamps are unique within a run (seqs are reused
+                // after a squash).
+                flagged.insert(inst.stamp);
+                if (inst.executed()) {
+                    executed_flagged.push_back(inst.seq);
+                    ASSERT_FALSE(safe)
+                        << at << ": executed load seq " << inst.seq
+                        << " is safe but its visibility op is pending";
+                }
+            } else if (prevFlagged_[t].count(inst.stamp)) {
+                ASSERT_TRUE(safe)
+                    << at << ": load seq " << inst.seq
+                    << " had its visibility op released while unsafe";
+            }
+        }
+        ASSERT_EQ(th.visQ, executed_flagged) << at;
+        seen_.insert(flagged.begin(), flagged.end());
+        prevFlagged_[t] = std::move(flagged);
+    }
+
+    PipelineEngine &eng_;
+    std::string what_;
+    /** Per thread: stamps of the loads flagged at the previous cycle. */
+    std::vector<std::set<std::uint64_t>> prevFlagged_;
+    std::set<std::uint64_t> seen_;
+    std::uint64_t cycles_ = 0;
+};
+
+class PerScheme : public ::testing::TestWithParam<SchemeKind>
+{};
+
+TEST_P(PerScheme, SenderGadgetsKeepTheSafetyInvariant)
+{
+    const SchemeKind kind = GetParam();
+    CoreConfig core;
+    core.fastForward = false;
+    for (const auto &[g, o] : tableOneCombos()) {
+        for (unsigned secret = 0; secret < 2; ++secret) {
+            AttackFixture fx(core, HierarchyConfig::small());
+            fx.victim.setScheme(makeScheme(kind));
+            SenderParams params;
+            params.gadget = g;
+            params.ordering = o;
+            const SenderProgram sp = buildSender(params, fx.hier);
+            fx.harness.prepare(sp, secret);
+
+            const std::string what = schemeName(kind) + " " +
+                                     gadgetName(g) + "/" +
+                                     orderingName(o) + " secret " +
+                                     std::to_string(secret);
+            SafetyChecker chk(fx.victim.engine(), what);
+            const TrialResult r = fx.harness.run(sp);
+            ASSERT_FALSE(::testing::Test::HasFatalFailure()) << what;
+            ASSERT_TRUE(r.finished) << what;
+            ASSERT_GT(chk.cycles(), 0u) << what;
+            chk.expectVisitsBounded();
+        }
+    }
+}
+
+WorkloadSpec
+fuzzSpec(std::uint64_t seed, unsigned slot)
+{
+    WorkloadSpec spec;
+    spec.name = "safety-fuzz";
+    spec.instructions = 400;
+    spec.loadFrac = 0.30;
+    spec.storeFrac = 0.08;
+    spec.branchFrac = 0.15;
+    spec.mulFrac = 0.05;
+    spec.sqrtFrac = 0.03;
+    spec.chaseFrac = 0.25;
+    spec.footprintLines = 256;
+    spec.branchTakenProb = 0.35;
+    spec.dataBase = 0x01000000ULL * (slot + 1);
+    spec.codeBase = 0x400000ULL + 0x100000ULL * slot;
+    spec.seed = seed;
+    return spec;
+}
+
+TEST_P(PerScheme, FuzzedProgramsKeepTheSafetyInvariant)
+{
+    const SchemeKind kind = GetParam();
+    CoreConfig cfg;
+    cfg.fastForward = false;
+    for (const std::uint64_t seed : {3u, 19u, 44u}) {
+        const GeneratedWorkload wl = generateWorkload(fuzzSpec(seed, 0));
+        Hierarchy hier(HierarchyConfig::small());
+        MainMemory mem;
+        for (const auto &[a, v] : wl.memInit)
+            mem.write(a, v);
+        Core core(cfg, 0, hier, mem);
+        core.setScheme(makeScheme(kind));
+        const std::string what =
+            schemeName(kind) + " seed " + std::to_string(seed);
+        SafetyChecker chk(core.engine(), what);
+        const CoreStats s = core.run(wl.prog);
+        ASSERT_FALSE(::testing::Test::HasFatalFailure()) << what;
+        ASSERT_TRUE(s.finished) << what;
+        chk.expectVisitsBounded();
+        // At most one visit per load, whatever the window size and
+        // the number of cycles a flag stays pending.
+        EXPECT_LE(core.engine().safetyVisits(), s.loads) << what;
+    }
+}
+
+TEST_P(PerScheme, TwoThreadProgramsKeepTheSafetyInvariant)
+{
+    const SchemeKind kind = GetParam();
+    CoreConfig cfg;
+    cfg.fastForward = false;
+    const GeneratedWorkload wl0 = generateWorkload(fuzzSpec(7, 0));
+    const GeneratedWorkload wl1 = generateWorkload(fuzzSpec(8, 1));
+    Hierarchy hier(HierarchyConfig::small());
+    MainMemory mem;
+    for (const GeneratedWorkload *wl : {&wl0, &wl1})
+        for (const auto &[a, v] : wl->memInit)
+            mem.write(a, v);
+    SmtConfig smt;
+    smt.numThreads = 2;
+    SmtCore core(cfg, smt, 0, hier, mem);
+    for (ThreadId t = 0; t < 2; ++t)
+        core.setScheme(t, makeScheme(kind));
+    const std::string what = schemeName(kind) + " SMT";
+    SafetyChecker chk(core.engine(), what);
+    const SmtRunResult run = core.run({&wl0.prog, &wl1.prog});
+    ASSERT_FALSE(::testing::Test::HasFatalFailure()) << what;
+    ASSERT_TRUE(run.finished) << what;
+    chk.expectVisitsBounded();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, PerScheme, ::testing::ValuesIn(allSchemes()),
+    [](const auto &info) {
+        return "scheme" + std::to_string(static_cast<int>(info.param));
+    });
+
+TEST(SafetyWorkCounter, DeferredVisibilitySchemesDoWorkOnlyPerLoad)
+{
+    // A scheme that defers visibility on every speculative load must
+    // see the stage do work — and, over a long run, far less work
+    // than one visit per window entry per cycle.
+    CoreConfig cfg;
+    cfg.fastForward = false;
+    for (const SchemeKind kind :
+         {SchemeKind::DomNonTso, SchemeKind::DomTso,
+          SchemeKind::InvisiSpecSpectre, SchemeKind::InvisiSpecFuturistic,
+          SchemeKind::MuonTrap, SchemeKind::ConditionalSpec}) {
+        const GeneratedWorkload wl = generateWorkload(fuzzSpec(11, 0));
+        Hierarchy hier(HierarchyConfig::small());
+        MainMemory mem;
+        for (const auto &[a, v] : wl.memInit)
+            mem.write(a, v);
+        Core core(cfg, 0, hier, mem);
+        core.setScheme(makeScheme(kind));
+        SafetyChecker chk(core.engine(), schemeName(kind));
+        const CoreStats s = core.run(wl.prog);
+        ASSERT_FALSE(::testing::Test::HasFatalFailure());
+        ASSERT_TRUE(s.finished) << schemeName(kind);
+        const std::uint64_t visits = core.engine().safetyVisits();
+        EXPECT_GT(visits, 0u) << schemeName(kind);
+        EXPECT_LE(visits, chk.flaggedLoads()) << schemeName(kind);
+        EXPECT_LT(visits, s.cycles) << schemeName(kind);
+    }
+}
+
+TEST(SafetyWorkCounter, NoDeferredVisibilityMeansNoWork)
+{
+    CoreConfig cfg;
+    cfg.fastForward = false;
+    for (const SchemeKind kind :
+         {SchemeKind::Unsafe, SchemeKind::FenceSpectre,
+          SchemeKind::FenceFuturistic}) {
+        const GeneratedWorkload wl = generateWorkload(fuzzSpec(11, 0));
+        Hierarchy hier(HierarchyConfig::small());
+        MainMemory mem;
+        for (const auto &[a, v] : wl.memInit)
+            mem.write(a, v);
+        Core core(cfg, 0, hier, mem);
+        core.setScheme(makeScheme(kind));
+        ASSERT_TRUE(core.run(wl.prog).finished) << schemeName(kind);
+        EXPECT_EQ(core.engine().safetyVisits(), 0u) << schemeName(kind);
+    }
+}
+
+} // namespace
+} // namespace specint

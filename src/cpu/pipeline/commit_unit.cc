@@ -91,8 +91,6 @@ CommitUnit::retire(std::vector<std::unique_ptr<ThreadContext>> &threads,
 
             rs_.release(h); // no-op unless entries are held until retire
             lsq_.release(h);
-            if (h.isBranch())
-                th.checkpoints.erase(h.seq);
             if (h.isHalt()) {
                 th.haltRetired = true;
                 th.stats.cycles = now;
@@ -303,35 +301,37 @@ CommitUnit::squashAfter(ThreadContext &th, const DynInst &br, Tick now)
 {
     const SeqNum bound = br.seq;
 
-    // Release structural resources held by this thread's squashed
-    // instructions; a sibling's holdings are untouched.
+    // One age-ordered walk: release the structural resources held by
+    // this thread's squashed instructions (a sibling's holdings are
+    // untouched), and rebuild the rename map from the survivors — the
+    // youngest surviving producer of each register. That is exactly
+    // the map at the branch's dispatch, except where the branch-time
+    // map still named a producer that has since retired; both read
+    // archRegs for such a register, so no checkpoint is needed.
+    th.renameMap.fill(kSeqNumInvalid);
     for (const auto &inst : th.rob) {
-        if (inst.seq <= bound)
+        if (inst.seq <= bound) {
+            if (inst.writesReg())
+                th.renameMap[inst.si().dst] = inst.seq;
             continue;
+        }
         rs_.release(const_cast<DynInst &>(inst));
         lsq_.release(inst);
     }
     th.rob.squashYoungerThan(bound);
     for (auto *list : {&th.storeSeqs, &th.unresolvedBranches,
                        &th.incompleteLoads, &th.incompleteStores,
-                       &th.visQ}) {
+                       &th.visQ, &th.gatedQ}) {
         popYoungerThan(*list, bound);
     }
     ports_.squashThread(th.tid, bound);
     mshr_.squashThread(th.tid, bound);
     th.scheme->filterSquashYoungerThan(bound);
 
-    // Restore the rename map from the branch's checkpoint; discard
-    // checkpoints belonging to squashed (younger) branches.
-    const auto it = th.checkpoints.find(bound);
-    assert(it != th.checkpoints.end());
-    th.renameMap = it->second;
-    th.checkpoints.erase(std::next(it), th.checkpoints.end());
-
     // Per-thread SeqNums of squashed instructions are reused: every
-    // structure referencing them (ports, MSHRs, checkpoints, filter
-    // caches) was purged above, and reuse keeps the ROB's contiguous
-    // seq invariant (O(1) lookup) intact. The global dispatch stamp is
+    // structure referencing them (ports, MSHRs, the exact lists,
+    // filter caches) was purged above, and reuse keeps the ROB's
+    // contiguous seq invariant (O(1) lookup) intact. The global dispatch stamp is
     // never reused, so cross-thread age arbitration stays consistent
     // across squashes.
     th.nextSeq = bound + 1;

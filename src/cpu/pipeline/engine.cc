@@ -232,9 +232,9 @@ PipelineEngine::run(const std::vector<const Program *> &progs)
         // ticks normally with identical results — so after a failed
         // attempt (nothing skippable: the pipeline is busy) the
         // predicate backs off for a few ticks instead of rescanning
-        // the ROB every cycle of a busy stretch. Long stalls (memory
-        // misses) still collapse; at most the first few cycles of a
-        // dead region are ticked.
+        // the candidate queues every cycle of a busy stretch. Long
+        // stalls (memory misses) still collapse; at most the first few
+        // cycles of a dead region are ticked.
         unsigned backoff = 0;
         while (step()) {
             if (backoff > 0) {
@@ -293,46 +293,48 @@ PipelineEngine::nextTransitionAt() const
         if (!th.visQ.empty() && th.visQ.front() <= safe_frontier)
             return now_;
 
-        for (const auto &inst : th.rob) {
-            if (inst.state == InstState::Issued) {
-                // Writeback (and branch resolution / squash) fires the
-                // cycle completeAt is reached; a completed instruction
-                // that lost CDB arbitration re-arbitrates every cycle.
-                if (inst.completeAt <= now_)
-                    return now_;
-                next = std::min(next, inst.completeAt);
+        // Writeback (and branch resolution / squash) fires the cycle
+        // completeAt is reached; a completed instruction that lost CDB
+        // arbitration re-arbitrates every cycle. inflightQ is a
+        // superset of the Issued entries: revalidate as writeback does.
+        for (const SeqNum seq : th.inflightQ) {
+            const DynInst *inst = th.rob.find(seq);
+            if (!inst || inst->state != InstState::Issued)
                 continue;
-            }
+            if (inst->completeAt <= now_)
+                return now_;
+            next = std::min(next, inst->completeAt);
+        }
 
-            if (inst.state != InstState::Dispatched ||
-                !inst.src1Ready || !inst.src2Ready) {
+        // Issue candidates, revalidated as the issue stage does.
+        // Gate-parked entries (gatedQ) are skipped: each failed the
+        // gate under the current frontiers, and only a frontier event
+        // — itself a transition captured above — can re-admit them.
+        for (const SeqNum seq : th.readyQ) {
+            const DynInst *inst = th.rob.find(seq);
+            if (!inst || inst->state != InstState::Dispatched ||
+                !inst->src1Ready || !inst->src2Ready) {
                 continue;
             }
 
             // Statically blocked candidates: the issue stage skips them
             // with no state change, and they can only unblock after an
             // event already captured above. Mirror its gates exactly.
-            if (inst.loadPhase == LoadPhase::WaitSafe &&
-                inst.seq > safe_frontier) {
+            if (inst->loadPhase == LoadPhase::WaitSafe &&
+                inst->seq > safe_frontier) {
                 continue;
             }
-            if (inst.isFence() &&
-                th.rob.head().seq != inst.seq) {
+            if (inst->isFence() && th.rob.head().seq != inst->seq)
+                continue;
+            if (!th.scheme->mayIssue(
+                    issueContextOf(frontier.shadowsOf(seq), *inst))) {
                 continue;
             }
-            const ShadowInfo sh = frontier.shadowsOf(inst.seq);
-            IssueContext ctx;
-            ctx.olderUnresolvedBranch = sh.olderUnresolvedBranch;
-            ctx.olderIncompleteLoad = sh.olderIncompleteLoad;
-            ctx.isLoad = inst.isLoad();
-            ctx.isBranch = inst.isBranch();
-            if (!th.scheme->mayIssue(ctx))
-                continue;
 
             // An issue *attempt* is a transition even when it fails:
             // it can preempt an EU, set contention flags, or update a
             // blocked load's retry time.
-            const Tick t = std::max(inst.readyAt, inst.retryAt);
+            const Tick t = std::max(inst->readyAt, inst->retryAt);
             if (t <= now_)
                 return now_;
             next = std::min(next, t);

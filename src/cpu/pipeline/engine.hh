@@ -187,6 +187,8 @@ class PipelineEngine
     }
     /** Safety-stage work counter (Scheduler::safetyVisits). */
     std::uint64_t safetyVisits() const { return sched_.safetyVisits(); }
+    /** Issue-stage work counter (Scheduler::issueVisits). */
+    std::uint64_t issueVisits() const { return sched_.issueVisits(); }
     /// @}
 
     /** Fetch-stage grants per thread over the last run (fairness). */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Front-end stages of the unified engine: rotating-priority
- * dispatch with rename-map checkpointing, and fetch through the L1-I
+ * dispatch with register rename, and fetch through the L1-I
  * cache for the arbiter-granted thread (invisible when the scheme
  * protects the I-cache and the thread is speculating).
  */
@@ -87,8 +87,6 @@ FrontUnit::dispatch(std::vector<std::unique_ptr<ThreadContext>> &threads,
         // Loads use src1 only as the address base; src2 is unused.
         th->renameSource(stored, si.isLoad() ? kNoReg : si.src2, false);
 
-        if (si.isBranch())
-            th->checkpoints[stored.seq] = th->renameMap;
         if (si.writesReg())
             th->renameMap[si.dst] = stored.seq;
 

@@ -5,6 +5,8 @@
  * threads' ready instructions in global dispatch-stamp order and
  * consults the active scheme at every decision point (load policies,
  * fence gates, strict age priority with squashable-EU preemption).
+ * Fence-gated candidates are parked until a shadow frontier crosses
+ * them instead of being re-judged every cycle.
  */
 
 #include "cpu/pipeline/scheduler.hh"
@@ -74,29 +76,93 @@ Scheduler::execute(const DynInst &inst)
     }
 }
 
+namespace
+{
+
+/**
+ * Return to @p th's readyQ every gate-parked entry whose shadows can
+ * have changed since it was judged, and re-snapshot the frontier.
+ * Frontiers only move younger — except when dispatch refills an empty
+ * list, and that new caster is younger than every parked entry, so
+ * their shadows stay put. When a kind's frontier moves younger, the
+ * entries whose shadow of that kind lifted are exactly those between
+ * the old and the new frontier: within the prefix of gatedQ up to the
+ * new frontier, which is what goes back.
+ */
+void
+readmitGated(ThreadContext &th, const ShadowFrontier &now_f)
+{
+    const ShadowFrontier &was = th.gatedAt;
+    SeqNum upto = 0;
+    bool moved = false;
+    for (const auto &[n, o] : {std::pair{now_f.branch, was.branch},
+                               std::pair{now_f.load, was.load},
+                               std::pair{now_f.store, was.store}}) {
+        if (n > o) {
+            upto = std::max(upto, n);
+            moved = true;
+        }
+    }
+    th.gatedAt = now_f;
+    if (!moved || th.gatedQ.empty())
+        return;
+    const auto end =
+        std::upper_bound(th.gatedQ.begin(), th.gatedQ.end(), upto);
+    th.readyQ.insert(th.readyQ.end(), th.gatedQ.begin(), end);
+    th.gatedQ.erase(th.gatedQ.begin(), end);
+}
+
+/** Insert @p seq into the seq-sorted list @p list unless present (a
+ *  reused seq can reach the gate twice through a stale readyQ entry). */
+void
+park(std::vector<SeqNum> &list, SeqNum seq)
+{
+    const auto it = std::lower_bound(list.begin(), list.end(), seq);
+    if (it == list.end() || *it != seq)
+        list.insert(it, seq);
+}
+
+} // namespace
+
 void
 Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
                  Tick now, NoiseModel *noise)
 {
     // Candidates — Dispatched with both sources ready — come from the
-    // per-thread ready queues maintained at dispatch, wakeup and EU
-    // preemption, not from a full window walk. Each entry is
-    // revalidated here (a queue entry can be stale: issued, squashed,
-    // or its seq reused), so the queue doubles as its own compaction.
-    // Nothing during issue() wakes a source (wakeups happen at
-    // writeback, earlier in the tick), and a preempted EU holder
-    // re-enters Dispatched with retryAt = now + 1, so instructions
-    // absent from the queue could not have acted in a full scan
-    // either. A reused seq can leave a duplicate entry; the issue loop
-    // below skips the second occurrence via the state recheck.
+    // per-thread ready queues maintained at dispatch, wakeup, EU
+    // preemption and gate re-admission, not from a full window walk.
+    // Each entry is revalidated here (a queue entry can be stale:
+    // issued, squashed, or its seq reused), so the queue doubles as
+    // its own compaction. Nothing during issue() wakes a source
+    // (wakeups happen at writeback, earlier in the tick), and a
+    // preempted EU holder re-enters Dispatched with retryAt = now + 1,
+    // so instructions absent from the queue could not have acted in a
+    // full scan either. A reused seq can leave a duplicate entry; the
+    // issue loop below skips the second occurrence via the state
+    // recheck.
+    //
+    // The scheme's issue gate (fence defenses) is applied here rather
+    // than in the issue loop: rejection has no side effects and the
+    // frontiers cannot move during this stage (branches resolve and
+    // memory ops execute at writeback), so judging a candidate early
+    // changes nothing. A rejected candidate is parked in gatedQ and
+    // not looked at again until a frontier crosses it (readmitGated).
     order_.clear();
     for (auto &tp : threads) {
         ThreadContext &th = *tp;
+        const ShadowFrontier frontier = th.frontier();
+        readmitGated(th, frontier);
         std::size_t keep = 0;
         for (const SeqNum seq : th.readyQ) {
+            ++issueVisits_;
             DynInst *inst = th.rob.find(seq);
             if (!inst || inst->state != InstState::Dispatched ||
                 !inst->src1Ready || !inst->src2Ready) {
+                continue;
+            }
+            if (!th.scheme->mayIssue(
+                    issueContextOf(frontier.shadowsOf(seq), *inst))) {
+                park(th.gatedQ, seq);
                 continue;
             }
             th.readyQ[keep++] = seq;
@@ -106,17 +172,16 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
     }
     if (order_.empty())
         return;
-    // Queue order is arrival order (dispatch/wake/preempt), not age
-    // order: always sort by the global dispatch stamp, which is also
-    // each thread's seq order.
+    // Queue order is arrival order (dispatch/wake/preempt/re-admit),
+    // not age order: always sort by the global dispatch stamp, which
+    // is also each thread's seq order.
     std::sort(order_.begin(), order_.end(),
               [](const Cand &a, const Cand &b) {
                   return a.inst->stamp < b.inst->stamp;
               });
 
     // Shadows and safe points come from the per-thread frontiers,
-    // which nothing in this stage moves (branches resolve and memory
-    // ops execute at writeback): each is a seq compare.
+    // which nothing in this stage moves: each is a seq compare.
     unsigned issued = 0;
     for (const Cand &c : order_) {
         ThreadContext &th = *c.th;
@@ -124,8 +189,6 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
         if (issued >= cfg_.issueWidth)
             break;
         if (inst.state != InstState::Dispatched)
-            continue;
-        if (!inst.src1Ready || !inst.src2Ready)
             continue;
         if (inst.readyAt > now || inst.retryAt > now)
             continue;
@@ -140,17 +203,8 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
         if (inst.isFence() && th.rob.head().seq != inst.seq)
             continue;
 
-        // Scheme issue gate (fence defenses).
-        const ShadowInfo sh = th.frontier().shadowsOf(inst.seq);
-        IssueContext ctx;
-        ctx.olderUnresolvedBranch = sh.olderUnresolvedBranch;
-        ctx.olderIncompleteLoad = sh.olderIncompleteLoad;
-        ctx.isLoad = inst.isLoad();
-        ctx.isBranch = inst.isBranch();
-        if (!th.scheme->mayIssue(ctx))
-            continue;
-
-        if (tryIssue(th, inst, sh, now, noise))
+        if (tryIssue(th, inst, th.frontier().shadowsOf(inst.seq), now,
+                     noise))
             ++issued;
     }
 }

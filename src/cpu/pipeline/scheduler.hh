@@ -4,7 +4,8 @@
  * safety stage (scheme exposures / deferred updates at each load's
  * safe point) and the age-ordered, port-constrained issue stage with
  * the speculation-scheme hooks (load policies, fence gates, advanced-
- * defense preemption).
+ * defense preemption). Both are event-driven: they work on per-thread
+ * lists (visQ; readyQ and the gate-parked gatedQ), never on the ROB.
  *
  * Issue candidates from all threads are merged in global dispatch-
  * stamp order, so with one thread the schedule reduces exactly to
@@ -51,7 +52,10 @@ class Scheduler
                 Tick now);
 
     /** Wakeup/select: issue up to issueWidth ready instructions from
-     *  all threads in global age order. */
+     *  all threads in global age order. Candidates come from each
+     *  thread's readyQ, never from the ROB; those the scheme's
+     *  mayIssue gate rejects are parked in the thread's gatedQ and
+     *  return to readyQ only when a shadow frontier moves past them. */
     void issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
                Tick now, NoiseModel *noise);
 
@@ -61,6 +65,15 @@ class Scheduler
      *  times cycles (tests/test_safety_invariant.cc asserts the
      *  bound). Deliberately not published to the metric registry. */
     std::uint64_t safetyVisits() const { return safetyVisits_; }
+
+    /** Work counter: readyQ entries the issue stage has visited since
+     *  construction. A gate-parked candidate is not visited again
+     *  until a frontier event re-admits it, so under the fence
+     *  schemes this stays within a small multiple of the dispatched
+     *  instructions instead of growing with parked entries times
+     *  cycles (tests/test_safety_invariant.cc asserts the bound). Not
+     *  published to the metric registry. */
+    std::uint64_t issueVisits() const { return issueVisits_; }
 
   private:
     struct Cand
@@ -91,6 +104,7 @@ class Scheduler
     /** Reused per-cycle buffer (hot path: no per-cycle alloc). */
     std::vector<Cand> order_;
     std::uint64_t safetyVisits_ = 0;
+    std::uint64_t issueVisits_ = 0;
 };
 
 } // namespace specint

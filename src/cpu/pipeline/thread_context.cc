@@ -32,7 +32,6 @@ ThreadContext::resetRun(const Program *p)
     haltRetired = false;
     nextSeq = 0;
     renameMap.fill(kSeqNumInvalid);
-    checkpoints.clear();
     const auto &init = prog->initRegs();
     for (unsigned r = 0; r < kNumRegs; ++r)
         archRegs[r] = init[r];
@@ -41,6 +40,8 @@ ThreadContext::resetRun(const Program *p)
     samples.clear();
     minWbAt = 0;
     readyQ.clear();
+    gatedQ.clear();
+    gatedAt = ShadowFrontier{};
     inflightQ.clear();
     storeSeqs.clear();
     unresolvedBranches.clear();

@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -134,6 +133,18 @@ struct ShadowFrontier
     }
 };
 
+/** The scheme gate's view of one instruction under shadows @p sh. */
+inline IssueContext
+issueContextOf(const ShadowInfo &sh, const DynInst &inst)
+{
+    IssueContext ctx;
+    ctx.olderUnresolvedBranch = sh.olderUnresolvedBranch;
+    ctx.olderIncompleteLoad = sh.olderIncompleteLoad;
+    ctx.isLoad = inst.isLoad();
+    ctx.isBranch = inst.isBranch();
+    return ctx;
+}
+
 /** Erase @p seq from the seq-sorted list @p list (it must be there). */
 void eraseSeq(std::vector<SeqNum> &list, SeqNum seq);
 
@@ -164,8 +175,10 @@ struct ThreadContext
     SeqNum nextSeq = 0;
 
     std::array<std::uint64_t, kNumRegs> archRegs{};
+    /** Youngest in-flight producer of each register (kSeqNumInvalid
+     *  = the architectural value is current). A squash rebuilds it
+     *  from the surviving window (CommitUnit::squashAfter). */
     RenameMap renameMap{};
-    std::map<SeqNum, RenameMap> checkpoints;
 
     ThreadStats stats;
     std::vector<InstTraceEntry> trace;
@@ -187,11 +200,22 @@ struct ThreadContext
 
     /** Issue-stage candidates: the seqs of instructions that became
      *  Dispatched with both sources ready (at dispatch, on a wakeup,
-     *  or when an EU preemption returned them to Dispatched). A
-     *  superset: the issue stage revalidates and compacts it each
-     *  cycle, so entries stranded by a squash (or pointing at a reused
-     *  seq) are dropped or deduplicated there. */
+     *  or when an EU preemption returned them to Dispatched), minus
+     *  those parked in gatedQ. A superset: the issue stage revalidates
+     *  and compacts it each cycle, so entries stranded by a squash (or
+     *  pointing at a reused seq) are dropped or deduplicated there. */
     std::vector<SeqNum> readyQ;
+
+    /** Gate-parked issue candidates: Dispatched, source-ready
+     *  instructions the scheme's mayIssue gate rejected, moved out of
+     *  readyQ so the issue stage stops re-judging them every cycle.
+     *  Exact and seq-sorted (see the exact lists below). The gate is a
+     *  pure function of an entry's shadows, and those change only when
+     *  a shadow frontier moves younger past it: the issue stage then
+     *  returns the affected prefix to readyQ (against the snapshot
+     *  gatedAt of the frontier the entries were judged under). */
+    std::vector<SeqNum> gatedQ;
+    ShadowFrontier gatedAt;
 
     /** Seqs of instructions currently Issued (in flight toward
      *  writeback), pushed at issue. A superset under the same rules as

@@ -10,7 +10,7 @@
  *     SpecLoadPolicy decides whether it executes visibly, invisibly,
  *     only-on-L1-hit (Delay-on-Miss), or not at all.
  *  2. When any instruction is considered for issue: mayIssue() lets
- *     fence-style defenses serialise the pipeline.
+ *     fence-style defenses serialise the pipeline (see its contract).
  *  3. In the scheduler, via SchedFlags: the advanced defense's
  *     "never delay an older instruction" / "hold resources until
  *     non-speculative" rules (§5.4).
@@ -124,7 +124,19 @@ class Scheme
      *  filter cache); false for InvisiSpec and DoM (§3.3.1). */
     virtual bool protectsIFetch() const { return false; }
 
-    /** Issue gate: may this instruction issue now? (fence defenses) */
+    /**
+     * Issue gate: may this instruction issue now? (fence defenses)
+     *
+     * Contract: the verdict is a pure function of the IssueContext (no
+     * per-run state, no history) and is monotone in the shadows —
+     * adding a shadow (olderUnresolvedBranch, olderIncompleteLoad)
+     * never turns false into true. The issue stage relies on both: a
+     * rejected candidate is parked and judged again only after one of
+     * its shadows lifts. Purity makes an unchanged context's verdict
+     * stand; monotonicity makes a lifted shadow the only change that
+     * can reverse it. tests/test_schemes.cc checks both for every
+     * SchemeKind.
+     */
     virtual bool mayIssue(const IssueContext &) const { return true; }
 
     /** Speculative-store coherence policy (see SpecCoherencePolicy);

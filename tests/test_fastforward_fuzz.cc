@@ -55,14 +55,17 @@ splitMix64(std::uint64_t &state)
 
 /** Every safe point the safety and issue stages implement: Always
  *  (Unsafe), BranchesResolved (DomNonTso, InvisiSpecSpectre,
- *  SafeSpecWfb, AdvancedDefense), TSO (DomTso) and RobHead
- *  (InvisiSpecFuturistic, MuonTrap, ConditionalSpec). */
+ *  SafeSpecWfb, AdvancedDefense, FenceSpectre), TSO (DomTso,
+ *  FenceFuturistic) and RobHead (InvisiSpecFuturistic, MuonTrap,
+ *  ConditionalSpec) — plus both mayIssue gates (the fence schemes),
+ *  whose parked candidates the skip predicate must not wait on. */
 constexpr SchemeKind kSchemes[] = {
     SchemeKind::Unsafe,         SchemeKind::DomNonTso,
     SchemeKind::InvisiSpecSpectre, SchemeKind::SafeSpecWfb,
     SchemeKind::MuonTrap,       SchemeKind::AdvancedDefense,
     SchemeKind::DomTso,         SchemeKind::InvisiSpecFuturistic,
-    SchemeKind::ConditionalSpec,
+    SchemeKind::ConditionalSpec, SchemeKind::FenceSpectre,
+    SchemeKind::FenceFuturistic,
 };
 
 WorkloadSpec

@@ -141,6 +141,16 @@ constexpr GoldenTrace kGoldenTraces[] = {
     {71u, SchemeKind::DomTso, 49125, 881, 3680, 61, 149, 61, 914, 77, 0x642497def1f7cc6aULL},
     {71u, SchemeKind::InvisiSpecFuturistic, 15653, 881, 1592, 62, 129, 62, 383, 28, 0x642497def1f7cc6aULL},
     {71u, SchemeKind::ConditionalSpec, 49450, 881, 3688, 61, 149, 61, 917, 77, 0x642497def1f7cc6aULL},
+    // FenceSpectre / FenceFuturistic (the mayIssue gate), captured from
+    // the unified engine while its issue stage still re-evaluated the
+    // gate for every ready candidate on every cycle: the reference the
+    // gate-parked issue stage must reproduce.
+    {11u, SchemeKind::FenceSpectre, 22177, 882, 882, 59, 116, 59, 277, 15, 0x6ad714dbbfc53ca0ULL},
+    {37u, SchemeKind::FenceSpectre, 20762, 888, 888, 57, 97, 57, 284, 20, 0xea29e7580253d790ULL},
+    {71u, SchemeKind::FenceSpectre, 19184, 881, 881, 58, 109, 58, 223, 16, 0x642497def1f7cc6aULL},
+    {11u, SchemeKind::FenceFuturistic, 60937, 882, 882, 59, 116, 59, 277, 16, 0x6ad714dbbfc53ca0ULL},
+    {37u, SchemeKind::FenceFuturistic, 60875, 888, 888, 57, 97, 57, 284, 20, 0xea29e7580253d790ULL},
+    {71u, SchemeKind::FenceFuturistic, 49364, 881, 881, 58, 109, 58, 223, 16, 0x642497def1f7cc6aULL},
 };
 
 std::uint64_t
@@ -288,7 +298,7 @@ systemSpec(std::uint64_t seed, Addr data_base, Addr code_base)
 TEST(ReusedFixtureGoldenTest, ReusedCoreMatchesGoldenUnderEveryVariant)
 {
     for (const EngineVariant &v : kVariants) {
-        // One long-lived substrate per variant, reused across all 27
+        // One long-lived substrate per variant, reused across all 33
         // golden points in sequence — every row must still match the
         // numbers a fresh Core produces.
         Hierarchy hier(variantHierConfig(v));

@@ -230,6 +230,61 @@ TEST(FenceDefense, BlocksIssueUnderShadow)
     EXPECT_TRUE(fut->mayIssue(clear));
 }
 
+/** All 16 issue contexts, indexed by their four flags. */
+IssueContext
+issueContextNo(unsigned i)
+{
+    IssueContext ctx;
+    ctx.olderUnresolvedBranch = i & 1;
+    ctx.olderIncompleteLoad = i & 2;
+    ctx.isLoad = i & 4;
+    ctx.isBranch = i & 8;
+    return ctx;
+}
+
+TEST(IssueGateContract, PureAndMonotoneForEveryScheme)
+{
+    // The issue stage parks a candidate the gate rejects and re-judges
+    // it only after one of its shadows lifts (scheme.hh, mayIssue).
+    // That is exact only if the verdict depends on the IssueContext
+    // alone and adding a shadow never turns a rejection into a pass.
+    for (const SchemeKind k : allSchemes()) {
+        const SchemePtr fresh = makeScheme(k);
+        bool verdict[16];
+        for (unsigned i = 0; i < 16; ++i)
+            verdict[i] = fresh->mayIssue(issueContextNo(i));
+
+        // Pure: a second instance whose per-run state has been
+        // exercised, asked in the opposite order, agrees exactly.
+        const SchemePtr used = makeScheme(k);
+        used->filterFill(0x100, 3);
+        used->filterSquashYoungerThan(1);
+        used->filterFill(0x140, 2);
+        for (unsigned i = 16; i-- > 0;) {
+            EXPECT_EQ(used->mayIssue(issueContextNo(i)), verdict[i])
+                << schemeName(k) << " context " << i;
+        }
+        used->reset();
+        for (unsigned i = 0; i < 16; ++i) {
+            EXPECT_EQ(used->mayIssue(issueContextNo(i)), verdict[i])
+                << schemeName(k) << " context " << i << " after reset";
+        }
+
+        // Monotone: with the shadow bits (1 = branch, 2 = load) as a
+        // subset order, a rejected context stays rejected under every
+        // superset of its shadows.
+        for (unsigned i = 0; i < 16; ++i) {
+            for (const unsigned shadow : {1u, 2u}) {
+                if (!verdict[i]) {
+                    EXPECT_FALSE(verdict[i | shadow])
+                        << schemeName(k) << ": adding shadow " << shadow
+                        << " to context " << i << " lifts the gate";
+                }
+            }
+        }
+    }
+}
+
 TEST(AdvancedDefense, FlagsReflectRules)
 {
     AdvancedDefenseScheme all;

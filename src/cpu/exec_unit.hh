@@ -30,9 +30,6 @@ class PortSet
   public:
     PortSet() { reset(); }
 
-    /** Begin a new cycle: clears the per-cycle issue slots. */
-    void beginCycle(Tick now);
-
     /**
      * Can an instruction of class @p op issue on port @p port now?
      * Checks the one-issue-per-cycle slot and non-pipelined occupancy.
@@ -96,6 +93,18 @@ class PortSet
     bool busy(std::uint8_t port, Tick now) const
     {
         return busyUntil_[port] > now;
+    }
+
+    /** Is every candidate port of @p op held by a busy non-pipelined
+     *  unit at @p now? Such a port stays unusable until its holder
+     *  completes, is squashed or is preempted — each of which resets
+     *  its busy time — so the issue stage parks @p op meanwhile. */
+    bool allHeld(Op op, Tick now) const
+    {
+        for (const std::uint8_t p : opTraits(op).ports)
+            if (!busy(p, now))
+                return false;
+        return true;
     }
 
     void reset();

@@ -321,7 +321,7 @@ CommitUnit::squashAfter(ThreadContext &th, const DynInst &br, Tick now)
     th.rob.squashYoungerThan(bound);
     for (auto *list : {&th.storeSeqs, &th.unresolvedBranches,
                        &th.incompleteLoads, &th.incompleteStores,
-                       &th.visQ, &th.gatedQ}) {
+                       &th.visQ, &th.gatedQ, &th.portQ}) {
         popYoungerThan(*list, bound);
     }
     ports_.squashThread(th.tid, bound);

@@ -340,6 +340,14 @@ PipelineEngine::nextTransitionAt() const
             next = std::min(next, t);
         }
 
+        // Port-parked candidates are due and wait on a busy unit. With
+        // one thread their attempts have no effect, and the unit frees
+        // only at its holder's completion or a squash, both captured
+        // above. With several, each attempt can set the contention
+        // flag, a per-cycle observable.
+        if (!th.portQ.empty() && threads_.size() > 1)
+            return now_;
+
         // Dispatch: possible iff the front of the decode queue can
         // enter the window right now. Every input (queue, ROB/RS/LSQ
         // occupancy) only changes through captured events.
@@ -413,7 +421,6 @@ PipelineEngine::tick()
 {
     if (cycleHook_)
         cycleHook_(now_);
-    ports_.beginCycle(now_);
     for (auto &tp : threads_)
         tp->portContended = tp->mshrContended = false;
     commit_.retire(threads_, now_);

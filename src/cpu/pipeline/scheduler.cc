@@ -6,7 +6,8 @@
  * consults the active scheme at every decision point (load policies,
  * fence gates, strict age priority with squashable-EU preemption).
  * Fence-gated candidates are parked until a shadow frontier crosses
- * them instead of being re-judged every cycle.
+ * them, and non-pipelined ops waiting on a busy unit until the port
+ * frees, instead of being re-judged every cycle.
  */
 
 #include "cpu/pipeline/scheduler.hh"
@@ -79,6 +80,9 @@ Scheduler::execute(const DynInst &inst)
 namespace
 {
 
+/** No candidate filled the issue width this cycle. */
+constexpr std::uint64_t kNoStamp = ~std::uint64_t{0};
+
 /**
  * Return to @p th's readyQ every gate-parked entry whose shadows can
  * have changed since it was judged, and re-snapshot the frontier.
@@ -112,8 +116,27 @@ readmitGated(ThreadContext &th, const ShadowFrontier &now_f)
     th.gatedQ.erase(th.gatedQ.begin(), end);
 }
 
+/**
+ * Return @p th's whole portQ to readyQ once the port its entries wait
+ * on is no longer held. Every entry is a non-pipelined op bound to
+ * port 0 alone, so the oldest entry's op speaks for all of them. A
+ * unit frees at its holder's completion, a squash or a preemption;
+ * each resets the port's busy time, so this one check covers them.
+ */
+void
+readmitPortParked(ThreadContext &th, const PortSet &ports, Tick now)
+{
+    if (th.portQ.empty() ||
+        ports.allHeld(th.rob.find(th.portQ.front())->si().op, now)) {
+        return;
+    }
+    th.readyQ.insert(th.readyQ.end(), th.portQ.begin(), th.portQ.end());
+    th.portQ.clear();
+}
+
 /** Insert @p seq into the seq-sorted list @p list unless present (a
- *  reused seq can reach the gate twice through a stale readyQ entry). */
+ *  reused seq can reach the compaction twice through a stale readyQ
+ *  entry). */
 void
 park(std::vector<SeqNum> &list, SeqNum seq)
 {
@@ -130,7 +153,8 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
 {
     // Candidates — Dispatched with both sources ready — come from the
     // per-thread ready queues maintained at dispatch, wakeup, EU
-    // preemption and gate re-admission, not from a full window walk.
+    // preemption and gate or port re-admission, not from a full window
+    // walk.
     // Each entry is revalidated here (a queue entry can be stale:
     // issued, squashed, or its seq reused), so the queue doubles as
     // its own compaction. Nothing during issue() wakes a source
@@ -147,11 +171,20 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
     // memory ops execute at writeback), so judging a candidate early
     // changes nothing. A rejected candidate is parked in gatedQ and
     // not looked at again until a frontier crosses it (readmitGated).
+    //
+    // A due non-pipelined op whose every port is held by a busy unit
+    // is parked in portQ the same way: its attempt would fail, and a
+    // held port stays held for the whole stage (only a preemption
+    // frees one, and the preempter re-takes it at once). The one side
+    // effect of that failed attempt, the SMT contention flag, is set
+    // after the issue loop instead. Under strictAgePriority a failed
+    // attempt can preempt a unit, so those candidates are still tried.
     order_.clear();
     for (auto &tp : threads) {
         ThreadContext &th = *tp;
         const ShadowFrontier frontier = th.frontier();
         readmitGated(th, frontier);
+        readmitPortParked(th, ports_, now);
         std::size_t keep = 0;
         for (const SeqNum seq : th.readyQ) {
             ++issueVisits_;
@@ -165,13 +198,18 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
                 park(th.gatedQ, seq);
                 continue;
             }
+            const Op op = inst->si().op;
+            if (!opTraits(op).pipelined && inst->readyAt <= now &&
+                inst->retryAt <= now && ports_.allHeld(op, now) &&
+                !th.scheme->schedFlags().strictAgePriority) {
+                park(th.portQ, seq);
+                continue;
+            }
             th.readyQ[keep++] = seq;
             order_.push_back({&th, inst});
         }
         th.readyQ.resize(keep);
     }
-    if (order_.empty())
-        return;
     // Queue order is arrival order (dispatch/wake/preempt/re-admit),
     // not age order: always sort by the global dispatch stamp, which
     // is also each thread's seq order.
@@ -183,6 +221,9 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
     // Shadows and safe points come from the per-thread frontiers,
     // which nothing in this stage moves: each is a seq compare.
     unsigned issued = 0;
+    // Stamp of the candidate whose issue filled issueWidth: the loop
+    // reaches exactly the candidates older than it.
+    std::uint64_t filled_at = kNoStamp;
     for (const Cand &c : order_) {
         ThreadContext &th = *c.th;
         DynInst &inst = *c.inst;
@@ -204,8 +245,28 @@ Scheduler::issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
             continue;
 
         if (tryIssue(th, inst, th.frontier().shadowsOf(inst.seq), now,
-                     noise))
-            ++issued;
+                     noise) &&
+            ++issued == cfg_.issueWidth) {
+            filled_at = inst.stamp;
+        }
+    }
+
+    // The port-parked candidates the loop would have reached and
+    // denied. All of a thread's entries share one port and the flag is
+    // an OR, so its oldest entry decides; the port's holder cannot
+    // change thread during the stage, so asking after the loop gives
+    // the answer the attempt would have seen.
+    if (smt_.numThreads == 1)
+        return;
+    for (auto &tp : threads) {
+        ThreadContext &th = *tp;
+        if (th.portQ.empty())
+            continue;
+        const DynInst &oldest = *th.rob.find(th.portQ.front());
+        if (oldest.stamp < filled_at &&
+            ports_.opContendedByOther(oldest.si().op, th.tid, now)) {
+            th.portContended = true;
+        }
     }
 }
 

@@ -5,7 +5,8 @@
  * safe point) and the age-ordered, port-constrained issue stage with
  * the speculation-scheme hooks (load policies, fence gates, advanced-
  * defense preemption). Both are event-driven: they work on per-thread
- * lists (visQ; readyQ and the gate-parked gatedQ), never on the ROB.
+ * lists (visQ; readyQ, the gate-parked gatedQ and the port-parked
+ * portQ), never on the ROB.
  *
  * Issue candidates from all threads are merged in global dispatch-
  * stamp order, so with one thread the schedule reduces exactly to
@@ -55,7 +56,9 @@ class Scheduler
      *  all threads in global age order. Candidates come from each
      *  thread's readyQ, never from the ROB; those the scheme's
      *  mayIssue gate rejects are parked in the thread's gatedQ and
-     *  return to readyQ only when a shadow frontier moves past them. */
+     *  return to readyQ only when a shadow frontier moves past them,
+     *  and due non-pipelined ops whose port is held are parked in its
+     *  portQ until the port frees. */
     void issue(std::vector<std::unique_ptr<ThreadContext>> &threads,
                Tick now, NoiseModel *noise);
 
@@ -68,11 +71,12 @@ class Scheduler
 
     /** Work counter: readyQ entries the issue stage has visited since
      *  construction. A gate-parked candidate is not visited again
-     *  until a frontier event re-admits it, so under the fence
-     *  schemes this stays within a small multiple of the dispatched
-     *  instructions instead of growing with parked entries times
-     *  cycles (tests/test_safety_invariant.cc asserts the bound). Not
-     *  published to the metric registry. */
+     *  until a frontier event re-admits it, nor a port-parked one
+     *  until its port frees, so under the fence schemes and on the
+     *  SMT port channel this stays within a small multiple of the
+     *  dispatched instructions or cycles instead of growing with
+     *  parked entries times cycles (tests/test_safety_invariant.cc
+     *  asserts the bounds). Not published to the metric registry. */
     std::uint64_t issueVisits() const { return issueVisits_; }
 
   private:

@@ -42,6 +42,7 @@ ThreadContext::resetRun(const Program *p)
     readyQ.clear();
     gatedQ.clear();
     gatedAt = ShadowFrontier{};
+    portQ.clear();
     inflightQ.clear();
     storeSeqs.clear();
     unresolvedBranches.clear();

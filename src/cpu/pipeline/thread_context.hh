@@ -201,9 +201,10 @@ struct ThreadContext
     /** Issue-stage candidates: the seqs of instructions that became
      *  Dispatched with both sources ready (at dispatch, on a wakeup,
      *  or when an EU preemption returned them to Dispatched), minus
-     *  those parked in gatedQ. A superset: the issue stage revalidates
-     *  and compacts it each cycle, so entries stranded by a squash (or
-     *  pointing at a reused seq) are dropped or deduplicated there. */
+     *  those parked in gatedQ or portQ. A superset: the issue stage
+     *  revalidates and compacts it each cycle, so entries stranded by
+     *  a squash (or pointing at a reused seq) are dropped or
+     *  deduplicated there. */
     std::vector<SeqNum> readyQ;
 
     /** Gate-parked issue candidates: Dispatched, source-ready
@@ -216,6 +217,18 @@ struct ThreadContext
      *  gatedAt of the frontier the entries were judged under). */
     std::vector<SeqNum> gatedQ;
     ShadowFrontier gatedAt;
+
+    /** Port-parked issue candidates: Dispatched, source-ready,
+     *  gate-passing non-pipelined ops (VSQRTPD/VDIVPD, port 0 alone)
+     *  that were due to issue while their port's unit was busy, moved
+     *  out of readyQ so the issue stage stops retrying them every
+     *  cycle. Exact and seq-sorted (see the exact lists below). Their
+     *  attempts would fail with no side effect but the SMT contention
+     *  flag, which the issue stage sets from the oldest entry; the
+     *  whole list returns to readyQ on the first cycle the port is
+     *  free. Never used under strictAgePriority, where a failed
+     *  attempt can preempt a unit. */
+    std::vector<SeqNum> portQ;
 
     /** Seqs of instructions currently Issued (in flight toward
      *  writeback), pushed at issue. A superset under the same rules as

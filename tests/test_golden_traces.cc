@@ -11,7 +11,9 @@
  * pre-unification Core pipeline (commit affb3f5) and promoted here
  * from test_smt.cc; any divergence — from the arena-backed ROB, the
  * fast-forward skip logic, stats-lite elision or a future rewrite —
- * fails loudly with the variant name.
+ * fails loudly with the variant name. The SMT contention rows pin the
+ * two-thread channel down to each thread's per-cycle contention
+ * samples.
  *
  * tests/test_fastforward_fuzz.cc complements this with randomized
  * differential coverage; this file is the fixed-seed anchor.
@@ -20,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "attack/channel.hh"
 #include "attack/smt_probe.hh"
@@ -153,17 +157,22 @@ constexpr GoldenTrace kGoldenTraces[] = {
     {71u, SchemeKind::FenceFuturistic, 49364, 881, 881, 58, 109, 58, 223, 16, 0x642497def1f7cc6aULL},
 };
 
+/** Fold the 8 bytes of @p v into the FNV-1a hash @p h. */
+void
+fnv1aMix(std::uint64_t &h, std::uint64_t v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xff;
+        h *= 1099511628211ULL;
+    }
+}
+
 std::uint64_t
 fnv1aRegs(const std::function<std::uint64_t(RegId)> &reg)
 {
     std::uint64_t h = 1469598103934665603ULL;
-    for (unsigned r = 0; r < kNumRegs; ++r) {
-        const std::uint64_t v = reg(static_cast<RegId>(r));
-        for (int b = 0; b < 8; ++b) {
-            h ^= (v >> (8 * b)) & 0xff;
-            h *= 1099511628211ULL;
-        }
-    }
+    for (unsigned r = 0; r < kNumRegs; ++r)
+        fnv1aMix(h, reg(static_cast<RegId>(r)));
     return h;
 }
 
@@ -517,6 +526,198 @@ TEST(ChannelGoldenTest, SmtChannelVerdictUnchangedByFastForward)
     EXPECT_EQ(ff.channel.bitErrors, base.channel.bitErrors);
     EXPECT_EQ(ff.channel.totalCycles, base.channel.totalCycles);
 }
+
+// ---------------------------------------------------------------------
+// SMT contention stream: the per-cycle port/MSHR denial flags of both
+// threads, pinned per channel kind, victim scheme and sharing policy
+// ---------------------------------------------------------------------
+
+/** Window sharing and fetch policy of one SMT golden point (the three
+ *  points of the ablation_smt grid). */
+struct SmtPolicyPoint
+{
+    const char *name;
+    SharingPolicy window;
+    FetchPolicy fetch;
+};
+
+constexpr SmtPolicyPoint kSmtPolicies[] = {
+    {"shared+icount", SharingPolicy::Shared, FetchPolicy::ICount},
+    {"shared+rr", SharingPolicy::Shared, FetchPolicy::RoundRobin},
+    {"partitioned+icount", SharingPolicy::Partitioned,
+     FetchPolicy::ICount},
+};
+
+/**
+ * One SMT contention golden point. The channel fields come from
+ * runSmtContentionChannel over 8 fixed bits with calibrated noise;
+ * the per-thread fields from one load-jittered secret=1 trial of the
+ * same attack, where every per-cycle ContentionSample of both threads
+ * is folded into an FNV-1a hash. A narrow issue width makes the width
+ * fill while ops wait on the held port, so whether a waiting op was
+ * reached in age order before the width filled is pinned too.
+ * Captured from the engine whose issue stage still retried every
+ * ready candidate every cycle, so any change to when a thread is
+ * denied a port or an MSHR — not only to the decoded scores — fails
+ * here.
+ */
+struct SmtGolden
+{
+    SmtChannelKind kind;
+    SchemeKind scheme;
+    unsigned policy; ///< index into kSmtPolicies
+    unsigned issueWidth;
+    std::uint64_t score0, score1;
+    Tick totalCycles;
+    std::uint64_t bitErrors;
+    Tick trialCycles;
+    std::uint64_t portContended[2], mshrContended[2];
+    std::uint64_t sampleHash[2];
+};
+
+std::uint64_t
+fnv1aSamples(const std::vector<ContentionSample> &samples)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const ContentionSample &s : samples) {
+        fnv1aMix(h, s.cycle);
+        fnv1aMix(h, s.portsHeldByOther);
+        fnv1aMix(h, s.port0HeldByOther);
+        fnv1aMix(h, s.mshrHeldByOther);
+        fnv1aMix(h, s.portContended);
+        fnv1aMix(h, s.mshrContended);
+    }
+    return h;
+}
+
+SmtConfig
+smtGoldenConfig(const SmtPolicyPoint &p)
+{
+    SmtConfig smt;
+    smt.robPolicy = smt.rsPolicy = smt.lqPolicy = smt.sqPolicy = p.window;
+    smt.fetchPolicy = p.fetch;
+    return smt;
+}
+
+/** Measure one golden point (kind, scheme, policy and issue width
+ *  are the inputs). */
+SmtGolden
+measureSmtGolden(SmtChannelKind kind, SchemeKind scheme, unsigned policy,
+                 unsigned issue_width)
+{
+    SmtGolden g{};
+    g.kind = kind;
+    g.scheme = scheme;
+    g.policy = policy;
+    g.issueWidth = issue_width;
+    const SmtConfig smt = smtGoldenConfig(kSmtPolicies[policy]);
+    CoreConfig core;
+    core.issueWidth = issue_width;
+
+    SmtChannelConfig cfg;
+    cfg.scheme = scheme;
+    cfg.attack.kind = kind;
+    cfg.smt = smt;
+    cfg.trialsPerBit = 1;
+    cfg.noise = NoiseConfig::calibrated();
+    cfg.seed = 2024;
+    cfg.core = core;
+    const SmtChannelResult res =
+        runSmtContentionChannel(randomBits(8, 123), cfg);
+    g.score0 = res.calibration.score0;
+    g.score1 = res.calibration.score1;
+    g.totalCycles = res.channel.totalCycles;
+    g.bitErrors = res.channel.bitErrors;
+
+    SmtAttackParams params;
+    params.kind = kind;
+    SmtProbeHarness harness(buildSmtAttack(params), scheme, core, smt);
+    // Load jitter without mis-training failures, so the gadget runs
+    // and its resource use overlaps the probe's.
+    NoiseConfig jitter = NoiseConfig::calibrated();
+    jitter.mistrainFailProb = 0.0;
+    NoiseModel noise(jitter, 77);
+    harness.core().setNoise(&noise);
+    harness.prepare(1, &noise);
+    g.trialCycles = harness.runTrial().cycles;
+    for (ThreadId t = 0; t < 2; ++t) {
+        const ThreadStats &st = harness.core().engine().thread(t).stats;
+        g.portContended[t] = st.portContendedCycles;
+        g.mshrContended[t] = st.mshrContendedCycles;
+        g.sampleHash[t] = fnv1aSamples(harness.core().contention(t));
+    }
+    return g;
+}
+
+constexpr SmtGolden kSmtGoldens[] = {
+    {SmtChannelKind::Port, SchemeKind::Unsafe, 0, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
+    {SmtChannelKind::Port, SchemeKind::Unsafe, 1, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
+    {SmtChannelKind::Port, SchemeKind::Unsafe, 2, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
+    {SmtChannelKind::Port, SchemeKind::DomNonTso, 0, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
+    {SmtChannelKind::Port, SchemeKind::DomNonTso, 1, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
+    {SmtChannelKind::Port, SchemeKind::DomNonTso, 2, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
+    {SmtChannelKind::Port, SchemeKind::AdvancedDefense, 0, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
+    {SmtChannelKind::Port, SchemeKind::AdvancedDefense, 1, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
+    {SmtChannelKind::Port, SchemeKind::AdvancedDefense, 2, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
+    {SmtChannelKind::Port, SchemeKind::FenceSpectre, 0, 8, 0, 0, 21800, 3, 1045, {0, 0}, {0, 0}, {0x7dc21ec0c5c742a3ULL, 0x4f2178b3e7942e43ULL}},
+    {SmtChannelKind::Port, SchemeKind::FenceSpectre, 1, 8, 0, 0, 21800, 3, 1045, {0, 0}, {0, 0}, {0x7dc21ec0c5c742a3ULL, 0x4f2178b3e7942e43ULL}},
+    {SmtChannelKind::Port, SchemeKind::FenceSpectre, 2, 8, 0, 0, 21800, 3, 1045, {0, 0}, {0, 0}, {0x7dc21ec0c5c742a3ULL, 0x4f2178b3e7942e43ULL}},
+    {SmtChannelKind::Mshr, SchemeKind::Unsafe, 0, 8, 168, 562, 18907, 0, 1045, {0, 3}, {9, 9}, {0x0f317c35c1ca07b0ULL, 0x92407a5312abea6fULL}},
+    {SmtChannelKind::Mshr, SchemeKind::Unsafe, 1, 8, 168, 562, 18907, 0, 1045, {0, 3}, {9, 9}, {0x0f317c35c1ca07b0ULL, 0x92407a5312abea6fULL}},
+    {SmtChannelKind::Mshr, SchemeKind::Unsafe, 2, 8, 168, 562, 18884, 0, 1045, {0, 3}, {9, 9}, {0x0f317c35c1ca07b0ULL, 0x92407a5312abea6fULL}},
+    {SmtChannelKind::Mshr, SchemeKind::DomNonTso, 0, 8, 112, 112, 18824, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}},
+    {SmtChannelKind::Mshr, SchemeKind::DomNonTso, 1, 8, 112, 112, 18824, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}},
+    {SmtChannelKind::Mshr, SchemeKind::DomNonTso, 2, 8, 112, 112, 18835, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}},
+    {SmtChannelKind::Mshr, SchemeKind::AdvancedDefense, 0, 8, 112, 112, 18824, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}},
+    {SmtChannelKind::Mshr, SchemeKind::AdvancedDefense, 1, 8, 112, 112, 18824, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}},
+    {SmtChannelKind::Mshr, SchemeKind::AdvancedDefense, 2, 8, 112, 112, 18835, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}},
+    {SmtChannelKind::Mshr, SchemeKind::FenceSpectre, 0, 8, 112, 112, 18820, 3, 1045, {0, 1}, {0, 3}, {0x08baf1b507d99719ULL, 0x40dad681d46767dbULL}},
+    {SmtChannelKind::Mshr, SchemeKind::FenceSpectre, 1, 8, 112, 112, 18820, 3, 1045, {0, 1}, {0, 3}, {0x08baf1b507d99719ULL, 0x40dad681d46767dbULL}},
+    {SmtChannelKind::Mshr, SchemeKind::FenceSpectre, 2, 8, 112, 112, 18784, 3, 1045, {0, 1}, {0, 3}, {0x08baf1b507d99719ULL, 0x40dad681d46767dbULL}},
+    // Issue width 1: the victim's issues fill the width ahead of the
+    // probe's waiting VSQRTPD ops on some cycles.
+    {SmtChannelKind::Port, SchemeKind::Unsafe, 0, 1, 0, 30, 21913, 0, 1045, {67, 28}, {0, 0}, {0x9e8388247a7d936aULL, 0xed45e6410d733fabULL}},
+    {SmtChannelKind::Port, SchemeKind::DomNonTso, 0, 1, 0, 30, 21913, 0, 1045, {67, 28}, {0, 0}, {0x9e8388247a7d936aULL, 0xed45e6410d733fabULL}},
+    {SmtChannelKind::Port, SchemeKind::AdvancedDefense, 0, 1, 0, 30, 21913, 0, 1045, {67, 28}, {0, 0}, {0x9e8388247a7d936aULL, 0xed45e6410d733fabULL}},
+    {SmtChannelKind::Port, SchemeKind::FenceSpectre, 0, 1, 0, 0, 21800, 3, 1045, {0, 0}, {0, 0}, {0x7dc21ec0c5c742a3ULL, 0x4f2178b3e7942e43ULL}},
+};
+
+class SmtContentionGoldenTest : public ::testing::TestWithParam<SmtGolden>
+{};
+
+TEST_P(SmtContentionGoldenTest, ContentionStreamMatchesGolden)
+{
+    const SmtGolden &want = GetParam();
+    const SmtGolden got = measureSmtGolden(want.kind, want.scheme,
+                                           want.policy, want.issueWidth);
+    const std::string what = smtChannelKindName(want.kind) + " " +
+                             schemeName(want.scheme) + " " +
+                             kSmtPolicies[want.policy].name + " width " +
+                             std::to_string(want.issueWidth);
+    EXPECT_EQ(got.score0, want.score0) << what;
+    EXPECT_EQ(got.score1, want.score1) << what;
+    EXPECT_EQ(got.totalCycles, want.totalCycles) << what;
+    EXPECT_EQ(got.bitErrors, want.bitErrors) << what;
+    EXPECT_EQ(got.trialCycles, want.trialCycles) << what;
+    for (unsigned t = 0; t < 2; ++t) {
+        const std::string at = what + " thread " + std::to_string(t);
+        EXPECT_EQ(got.portContended[t], want.portContended[t]) << at;
+        EXPECT_EQ(got.mshrContended[t], want.mshrContended[t]) << at;
+        EXPECT_EQ(got.sampleHash[t], want.sampleHash[t])
+            << at << " contention sample stream diverged";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsSchemesPolicies, SmtContentionGoldenTest,
+    ::testing::ValuesIn(kSmtGoldens), [](const auto &info) {
+        return std::string(info.param.kind == SmtChannelKind::Port
+                               ? "port"
+                               : "mshr") +
+               "_" + std::to_string(static_cast<int>(info.param.scheme)) +
+               "_p" + std::to_string(info.param.policy) + "_w" +
+               std::to_string(info.param.issueWidth);
+    });
 
 // ---------------------------------------------------------------------
 // Stats-lite is asserted off in every attack scenario

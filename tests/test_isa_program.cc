@@ -26,6 +26,23 @@ TEST(OpTraits, NonPipelinedFpOpsOnPortZero)
     EXPECT_EQ(div.ports[0], 0);
 }
 
+TEST(OpTraits, EveryNonPipelinedOpBindsToPortZeroAlone)
+{
+    // The issue stage keeps one port-parked list per thread and
+    // re-admits it by asking about its oldest entry alone: that is
+    // exact only while every non-pipelined op waits on the same,
+    // single port.
+    for (const OpTraits &t : kOpTraits) {
+        if (t.pipelined)
+            continue;
+        ASSERT_EQ(t.ports.size(), 1u);
+        EXPECT_EQ(t.ports[0], 0);
+    }
+    static_assert(!opTraits(Op::FpSqrt).pipelined &&
+                      opTraits(Op::FpSqrt).ports.size() == 1,
+                  "opTraits is usable in constant expressions");
+}
+
 TEST(OpTraits, LoadsUseLoadPorts)
 {
     const auto &ld = opTraits(Op::Load);

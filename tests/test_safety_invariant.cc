@@ -24,16 +24,22 @@
  *
  * The issue stage is event-driven the same way: candidates the
  * scheme's mayIssue gate rejects are parked in gatedQ until a frontier
- * crosses them. Every cycle the checker also verifies that
+ * crosses them, and due non-pipelined ops whose port is held are
+ * parked in portQ until the port frees. Every cycle the checker also
+ * verifies that
  *
  *  - gatedQ is seq-sorted and exact: every entry is Dispatched with
  *    both sources ready, and still fails the gate under the current
  *    frontiers (so parking it lost no issue opportunity);
- *  - every Dispatched, source-ready ROB entry is in readyQ or gatedQ
- *    (so no candidate is lost between the two lists);
+ *  - portQ is seq-sorted and exact: every entry is a due, Dispatched,
+ *    source-ready non-pipelined op that passes the gate, of a thread
+ *    whose scheme does not preempt units;
+ *  - every Dispatched, source-ready ROB entry is in readyQ, gatedQ or
+ *    portQ (so no candidate is lost between the three lists);
  *
  * and the issue stage's work counter stays within a small multiple of
- * the dispatched instructions under the fence schemes.
+ * the dispatched instructions under the fence schemes, and of the
+ * cycles on the SMT port channel.
  */
 
 #include <gtest/gtest.h>
@@ -44,6 +50,7 @@
 #include <vector>
 
 #include "attack/matrix.hh"
+#include "attack/smt_probe.hh"
 #include "attack/trial_fixture.hh"
 #include "cpu/core.hh"
 #include "memory/hierarchy.hh"
@@ -148,8 +155,30 @@ class SafetyChecker
                 << at << ": parked seq " << seq
                 << " passes the gate under the current frontiers";
         }
+        ASSERT_TRUE(std::is_sorted(th.portQ.begin(), th.portQ.end()))
+            << at;
+        ASSERT_EQ(std::adjacent_find(th.portQ.begin(), th.portQ.end()),
+                  th.portQ.end())
+            << at << ": duplicate portQ entry";
+        ASSERT_TRUE(th.portQ.empty() ||
+                    !th.scheme->schedFlags().strictAgePriority)
+            << at << ": port-parked entry under strict age priority";
+        for (const SeqNum seq : th.portQ) {
+            const DynInst *inst = th.rob.find(seq);
+            ASSERT_NE(inst, nullptr) << at << ": stale portQ seq " << seq;
+            ASSERT_EQ(inst->state, InstState::Dispatched) << at;
+            ASSERT_TRUE(inst->src1Ready && inst->src2Ready) << at;
+            ASSERT_FALSE(opTraits(inst->si().op).pipelined)
+                << at << ": port-parked seq " << seq << " is pipelined";
+            ASSERT_LE(std::max(inst->readyAt, inst->retryAt), now) << at;
+            ASSERT_TRUE(th.scheme->mayIssue(
+                issueContextOf(frontier.shadowsOf(seq), *inst)))
+                << at << ": port-parked seq " << seq
+                << " fails the gate";
+        }
         std::set<SeqNum> candidates(th.readyQ.begin(), th.readyQ.end());
         candidates.insert(th.gatedQ.begin(), th.gatedQ.end());
+        candidates.insert(th.portQ.begin(), th.portQ.end());
 
         ShadowInfo running;
         for (const DynInst &inst : th.rob) {
@@ -160,7 +189,7 @@ class SafetyChecker
                 inst.src2Ready) {
                 ASSERT_TRUE(candidates.count(inst.seq))
                     << at << ": ready seq " << inst.seq
-                    << " is in neither readyQ nor gatedQ";
+                    << " is in none of readyQ, gatedQ and portQ";
             }
 
             const ShadowInfo fast = frontier.shadowsOf(inst.seq);
@@ -376,6 +405,29 @@ TEST(IssueWorkCounter, FenceGatedCandidatesAreNotRescannedPerCycle)
             EXPECT_LE(visits, 3 * dispatched) << what;
             EXPECT_LT(visits, s.cycles) << what;
         }
+    }
+}
+
+TEST(IssueWorkCounter, PortParkedCandidatesAreNotRetriedPerCycle)
+{
+    // The SMT port-channel probe is a stream of independent VSQRTPD
+    // ops, all ready at once and all waiting on the one non-pipelined
+    // unit. Parked in portQ while the unit is busy, they cost the
+    // issue stage a few visits per cycle, not one each per cycle.
+    for (const SchemeKind kind :
+         {SchemeKind::Unsafe, SchemeKind::InvisiSpecSpectre,
+          SchemeKind::AdvancedDefense}) {
+        SmtAttackParams params;
+        params.kind = SmtChannelKind::Port;
+        SmtProbeHarness harness(buildSmtAttack(params), kind);
+        const std::string what = schemeName(kind) + " port channel";
+        SafetyChecker chk(harness.core().engine(), what);
+        const SmtCalibration cal = harness.calibrate();
+        ASSERT_FALSE(::testing::Test::HasFatalFailure()) << what;
+        EXPECT_TRUE(cal.usable) << what;
+        const std::uint64_t visits = harness.core().engine().issueVisits();
+        EXPECT_GT(visits, 0u) << what;
+        EXPECT_LT(visits, 3 * chk.cycles()) << what;
     }
 }
 

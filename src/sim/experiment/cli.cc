@@ -6,6 +6,7 @@
 #include "sim/experiment/cli.hh"
 
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 
 #include "sim/log.hh"
@@ -27,6 +28,23 @@ parseU64(const char *s, std::uint64_t &out)
     if (errno != 0 || end == s || *end != '\0')
         return false;
     out = v;
+    return true;
+}
+
+/** Parse "K/N" with N >= 1 and K < N. */
+bool
+parseShard(const std::string &s, unsigned &index, unsigned &count)
+{
+    const std::size_t slash = s.find('/');
+    if (slash == std::string::npos)
+        return false;
+    std::uint64_t k, n;
+    if (!parseU64(s.substr(0, slash).c_str(), k) ||
+        !parseU64(s.substr(slash + 1).c_str(), n) || n == 0 ||
+        k >= n || n > UINT_MAX)
+        return false;
+    index = static_cast<unsigned>(k);
+    count = static_cast<unsigned>(n);
     return true;
 }
 
@@ -98,14 +116,17 @@ CliArgs::parse(int argc, char **argv) const
                 return res;
             }
             opt.cacheDir = argv[++i];
-        } else if (arg == "--connect") {
+        } else if (arg == "--shard") {
             if (i + 1 >= argc) {
-                res.error = "--connect requires an endpoint "
-                            "(socket path or host:port, "
-                            "comma-separated for a fleet)";
+                res.error = "--shard requires K/N";
                 return res;
             }
-            opt.connectSock = argv[++i];
+            if (!parseShard(argv[++i], opt.shardIndex,
+                            opt.shardCount)) {
+                res.error = std::string("--shard: '") + argv[i] +
+                            "' is not K/N with 0 <= K < N";
+                return res;
+            }
         } else if (arg == "--log-level") {
             if (i + 1 >= argc) {
                 res.error = "--log-level requires a value";
@@ -123,8 +144,9 @@ CliArgs::parse(int argc, char **argv) const
             std::uint64_t v;
             if (!value(v))
                 return res;
-            if (v == 0) {
-                res.error = "--trials must be >= 1";
+            if (v == 0 || v > UINT_MAX) {
+                res.error = "--trials must be in [1, " +
+                            std::to_string(UINT_MAX) + "]";
                 return res;
             }
             opt.trials = static_cast<unsigned>(v);
@@ -139,6 +161,11 @@ CliArgs::parse(int argc, char **argv) const
                 return res;
             // 0 = one worker per hardware thread; the runner is the
             // single authority for that resolution.
+            if (v > UINT_MAX) {
+                res.error = "--jobs must be <= " +
+                            std::to_string(UINT_MAX);
+                return res;
+            }
             opt.jobs = static_cast<unsigned>(v);
         } else {
             bool matched = false;
@@ -158,6 +185,11 @@ CliArgs::parse(int argc, char **argv) const
             }
         }
     }
+    if (opt.shardCount != 0 && opt.cacheDir.empty()) {
+        res.error = "--shard requires --cache-dir (a shard's only "
+                    "output is the cache)";
+        return res;
+    }
     res.ok = true;
     return res;
 }
@@ -170,7 +202,7 @@ CliArgs::usage() const
                     " [--csv | --json] [--out FILE]"
                     " [--metrics-out FILE] [--trace-out FILE]"
                     " [--profile] [--log-level L]"
-                    " [--cache-dir DIR] [--connect EP[,EP...]]";
+                    " [--cache-dir DIR [--shard K/N]]";
     for (const ExtraFlag &f : extraFlags_)
         u += " [--" + f.name + " N]";
     u += "\n";
@@ -191,12 +223,10 @@ CliArgs::usage() const
          "stderr\n";
     u += "  --cache-dir DIR     memoize point results in a "
          "content-addressed on-disk cache\n";
-    u += "  --connect EP[,EP...]  submit the sweep to running "
-         "specsim_serve daemons; each EP\n"
-         "                      is a Unix-socket path or HOST:PORT — "
-         "several endpoints form\n"
-         "                      a fleet the sweep is sharded across "
-         "(with failover)\n";
+    u += "  --shard K/N         run only the points with index % N "
+         "== K into the cache,\n"
+         "                      printing no report; rerun without "
+         "--shard to merge\n";
     u += "  --log-level L       silent|warn|info|debug|trace or 0-4 "
          "(overrides $SPECSIM_LOG)\n";
     for (const ExtraFlag &f : extraFlags_) {

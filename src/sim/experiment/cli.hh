@@ -60,10 +60,13 @@ struct RunOptions
      *  results are memoized on disk and reused when (scenario, flags,
      *  seed, point, build fingerprint) all match. */
     std::string cacheDir;
-    /** Unix-domain socket of a running `specsim_serve` ("" = run
-     *  in-process). The sweep is submitted as a job and results are
-     *  streamed back; output is byte-identical to a local run. */
-    std::string connectSock;
+    /** Run only the grid points whose index % shardCount ==
+     *  shardIndex and store them in the --cache-dir cache, emitting no
+     *  report (shardCount 0 = the whole grid, reported as usual). The
+     *  same command without --shard merges the shards as an all-hit
+     *  replay. Presentation only: never part of a cache key. */
+    unsigned shardIndex = 0;
+    unsigned shardCount = 0;
     /** Log level override ("" = keep env/default). Validated at
      *  parse time against sim/log.hh's names. */
     std::string logLevel;

@@ -63,7 +63,7 @@ struct Report
      *  point completed; the assembled points up to each worker's stop
      *  are still valid. */
     bool interrupted = false;
-    /** Result-cache accounting (--cache-dir / --connect runs only;
+    /** Result-cache accounting (--cache-dir runs only;
      *  cacheEnabled=false keeps the JSON emitter byte-identical for
      *  uncached runs). */
     bool cacheEnabled = false;

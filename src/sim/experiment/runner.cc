@@ -122,6 +122,13 @@ ExperimentRunner::run(const Scenario &scenario,
         return hooks.cancelled && hooks.cancelled();
     };
 
+    // A --shard run executes only its slice of the grid; the other
+    // slots stay not-done.
+    auto inShard = [&](std::size_t i) {
+        return options.shardCount == 0 ||
+               i % options.shardCount == options.shardIndex;
+    };
+
     // Ordered streaming: completed slots are released to onOrdered
     // strictly in grid order, whatever order workers finish in. Every
     // done flag is written and read under order_mutex, which also
@@ -196,6 +203,8 @@ ExperimentRunner::run(const Scenario &scenario,
 
     if (workers <= 1) {
         for (std::size_t i = 0; i < points.size(); ++i) {
+            if (!inShard(i))
+                continue;
             if (cancelled()) {
                 report.interrupted = true;
                 break;
@@ -210,8 +219,10 @@ ExperimentRunner::run(const Scenario &scenario,
     // of the sweep; imbalance (one heavyweight point) is absorbed by
     // stealing below.
     std::vector<WorkerQueue> queues(workers);
+    std::size_t dealt = 0;
     for (std::size_t i = 0; i < points.size(); ++i)
-        queues[i % workers].tasks.push_back(i);
+        if (inShard(i))
+            queues[dealt++ % workers].tasks.push_back(i);
 
     std::atomic<bool> failed{false};
     std::exception_ptr first_error;

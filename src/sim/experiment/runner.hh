@@ -65,7 +65,9 @@ class ExperimentRunner
     explicit ExperimentRunner(unsigned jobs = 1);
 
     /**
-     * Run @p scenario under @p options with optional @p hooks.
+     * Run @p scenario under @p options with optional @p hooks. With
+     * options.shardCount set only that shard's points execute; the
+     * rest of the Report's slots stay not-done.
      *
      * A point executor that throws poisons the run: the first
      * exception is rethrown on the calling thread after every worker

@@ -51,8 +51,8 @@ class Value
     bool truthy() const { return num() != 0.0; }
     const std::string &strValue() const { return s_; }
 
-    /** @name Exact per-kind views, used by the sweep-service codec to
-     *  round-trip cells losslessly (src/sim/service/). */
+    /** @name Exact per-kind views, used by the result cache's row
+     *  codec to round-trip cells losslessly (src/sim/service/). */
     /// @{
     std::int64_t intValue() const { return i_; }
     std::uint64_t uintValue() const { return u_; }

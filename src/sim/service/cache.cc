@@ -199,8 +199,8 @@ ResultCache::store(const CacheKey &key,
     if (ec)
         return;
 
-    // Unique tmp name per writer: concurrent processes (server
-    // workers, parallel one-shot runs) never clobber each other's
+    // Unique tmp name per writer: concurrent processes (shards of
+    // one sweep, parallel one-shot runs) never clobber each other's
     // half-written files, and rename() makes publication atomic.
     const std::string tmp_path =
         (fs::path(dir_) / "tmp" /
@@ -231,7 +231,7 @@ ResultCache::flushIndex(const std::string &fingerprint)
     // Cumulative counters: merge this handle's stats into whatever a
     // previous run recorded, atomically like any entry. The
     // read-merge-write below is a classic lost-update race when
-    // several daemons share one --cache-dir, so it runs under an
+    // several shards share one --cache-dir, so it runs under an
     // exclusive flock on a sidecar lockfile (advisory, but every
     // writer is this code). Object files need no lock: they are
     // content-addressed and published by rename.

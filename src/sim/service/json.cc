@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal JSON parser/serializer implementation for the sweep service.
+ * Minimal JSON parser/serializer implementation for the result cache.
  */
 
 #include "sim/service/json.hh"
@@ -128,12 +128,6 @@ Json::set(const std::string &key, Json v)
     obj_[key] = std::move(v);
 }
 
-bool
-Json::has(const std::string &key) const
-{
-    return obj_.find(key) != obj_.end();
-}
-
 const Json &
 Json::get(const std::string &key) const
 {
@@ -156,13 +150,10 @@ Json::getStr(const std::string &key, std::string fallback) const
     return v.isStr() ? v.strValue() : std::move(fallback);
 }
 
-bool
-Json::getBool(const std::string &key, bool fallback) const
+namespace
 {
-    const Json &v = get(key);
-    return v.isBool() ? v.boolValue() : fallback;
-}
 
+/** Escape @p s as a JSON string literal, quotes included. */
 std::string
 jsonQuote(const std::string &s)
 {
@@ -197,6 +188,8 @@ jsonQuote(const std::string &s)
     out += '"';
     return out;
 }
+
+} // namespace
 
 std::string
 Json::dump() const
@@ -492,7 +485,7 @@ struct Parser
             out = Json::str(std::move(s));
             ok = true;
         } else if (literal("null")) {
-            out = Json::null();
+            out = Json();
             ok = true;
         } else if (literal("true")) {
             out = Json::boolean(true);

@@ -1,17 +1,17 @@
 /**
  * @file
- * Minimal JSON value model for the sweep service.
+ * Minimal JSON value model for the result cache.
  *
- * The service's wire protocol and cache entries are line-delimited
- * JSON, so the service needs to *parse* JSON — which the experiment
- * layer's emit-only helpers never did. This is a deliberately small
- * recursive-descent implementation with one property the service
- * depends on: integer-looking numbers are kept as exact 64-bit values
- * (seeds are full-width uint64_t, which a double cannot represent), and
- * doubles round-trip through 17-significant-digit text.
+ * Cache entries and the cache index are JSON, so the cache needs to
+ * *parse* JSON — which the experiment layer's emit-only helpers never
+ * did. This is a deliberately small recursive-descent implementation
+ * with one property the cache depends on: integer-looking numbers are
+ * kept as exact 64-bit values (seeds are full-width uint64_t, which a
+ * double cannot represent), and doubles round-trip through
+ * 17-significant-digit text.
  *
- * dump() never emits a raw newline (strings are escaped), so any
- * dumped value is safe to frame as one line of the protocol.
+ * dump() never emits a raw newline (strings are escaped), so every
+ * entry is one line.
  */
 
 #ifndef SPECINT_SIM_SERVICE_JSON_HH
@@ -46,7 +46,6 @@ class Json
 
     Json() : kind_(Kind::Null) {}
 
-    static Json null() { return Json(); }
     static Json boolean(bool v);
     static Json uinteger(std::uint64_t v);
     static Json integer(std::int64_t v);
@@ -56,7 +55,6 @@ class Json
     static Json object();
 
     Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
     bool isBool() const { return kind_ == Kind::Bool; }
     bool isNumber() const
     {
@@ -81,16 +79,13 @@ class Json
 
     /** Object field access; get() returns null for absent keys. */
     void set(const std::string &key, Json v);
-    bool has(const std::string &key) const;
     const Json &get(const std::string &key) const;
-    const std::map<std::string, Json> &fields() const { return obj_; }
 
     /** Typed object-field conveniences (fallback on absent/mistyped). */
     std::uint64_t getU64(const std::string &key,
                          std::uint64_t fallback = 0) const;
     std::string getStr(const std::string &key,
                        std::string fallback = {}) const;
-    bool getBool(const std::string &key, bool fallback = false) const;
 
     /** Compact single-line serialization (keys in sorted map order, so
      *  dumps are deterministic). */
@@ -114,9 +109,6 @@ class Json
     std::vector<Json> arr_;
     std::map<std::string, Json> obj_;
 };
-
-/** Escape @p s as a JSON string literal, quotes included. */
-std::string jsonQuote(const std::string &s);
 
 } // namespace specint::service
 

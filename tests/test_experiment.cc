@@ -30,6 +30,7 @@
 #include "sim/experiment/runner.hh"
 #include "sim/experiment/sweep.hh"
 #include "sim/experiment/value.hh"
+#include "sim/service/json.hh"
 
 using namespace specint;
 using namespace specint::experiment;
@@ -224,6 +225,10 @@ TEST(CliArgs, MalformedAndMissingValuesRejected)
     EXPECT_FALSE(parseArgs(cli, {"--seed"}).ok);
     EXPECT_FALSE(parseArgs(cli, {"--bits"}).ok);
     EXPECT_FALSE(parseArgs(cli, {"--trials", "0"}).ok);
+    // Values past UINT_MAX must not wrap to 0 or a small count.
+    EXPECT_FALSE(parseArgs(cli, {"--trials", "4294967296"}).ok);
+    EXPECT_FALSE(parseArgs(cli, {"--jobs", "4294967296"}).ok);
+    EXPECT_TRUE(parseArgs(cli, {"--trials", "4294967295"}).ok);
 }
 
 TEST(CliArgs, ExtraFlagParsesAndJobsZeroMeansHardware)
@@ -642,6 +647,201 @@ TEST(Report, JsonIsStructurallySound)
               std::count(json.begin(), json.end(), '}'));
     EXPECT_EQ(std::count(json.begin(), json.end(), '['),
               std::count(json.begin(), json.end(), ']'));
+}
+
+// --------------------------------------------------------------------------
+// Driver: the --cache-dir result cache and --shard, through runScenarioCli
+// --------------------------------------------------------------------------
+
+namespace
+{
+
+namespace fs = std::filesystem;
+
+/** Scratch directory removed on destruction. */
+struct TempDir
+{
+    fs::path path;
+
+    TempDir()
+    {
+        static int n = 0;
+        path = fs::temp_directory_path() /
+               ("specsim_driver_test_" + std::to_string(::getpid()) +
+                "_" + std::to_string(n++));
+        fs::create_directories(path);
+    }
+    ~TempDir()
+    {
+        std::error_code ec;
+        fs::remove_all(path, ec);
+    }
+};
+
+std::string
+slurp(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+/** One in-process `specsim_bench <scenario> <args...>` run. */
+struct CliRun
+{
+    int code = -1;
+    std::string err; ///< captured stderr
+
+    /** A counter from the driver's "[cache] ..." stderr line. */
+    std::uint64_t cacheStat(const std::string &name) const
+    {
+        const std::size_t line = err.find("[cache] dir=");
+        const std::size_t at = err.find(" " + name + "=", line);
+        if (line == std::string::npos || at == std::string::npos)
+            return ~std::uint64_t{0};
+        return std::stoull(err.substr(at + name.size() + 2));
+    }
+};
+
+CliRun
+runCli(const std::string &scenario, std::vector<std::string> args)
+{
+    std::vector<char *> argv;
+    std::string prog = scenario;
+    argv.push_back(prog.data());
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    CliRun run;
+    ::testing::internal::CaptureStderr();
+    run.code = runScenarioCli(scenarios::all(), scenario,
+                              static_cast<int>(argv.size()),
+                              argv.data());
+    run.err = ::testing::internal::GetCapturedStderr();
+    return run;
+}
+
+/** Run with `--out <dir>/<name>` appended; returns the written bytes. */
+std::string
+runToFile(const std::string &scenario, std::vector<std::string> args,
+          const TempDir &tmp, const std::string &name,
+          CliRun *run_out = nullptr)
+{
+    const fs::path out = tmp.path / name;
+    args.push_back("--out");
+    args.push_back(out.string());
+    const CliRun run = runCli(scenario, std::move(args));
+    EXPECT_EQ(run.code, 0) << scenario << " " << name << "\n"
+                           << run.err;
+    if (run_out)
+        *run_out = run;
+    return slurp(out);
+}
+
+std::size_t
+gridSize(const std::string &scenario)
+{
+    const Scenario *sc = scenarios::all().find(scenario);
+    RunOptions opt;
+    opt.trials = sc->defaultTrials;
+    opt.seed = sc->defaultSeed;
+    for (const ExtraFlag &f : sc->extraFlags)
+        opt.extra[f.name] = f.defaultValue;
+    return sc->sweep ? sc->sweep(opt).size() : 1;
+}
+
+class CachedCli : public ::testing::TestWithParam<const char *>
+{
+};
+
+} // namespace
+
+TEST_P(CachedCli, ColdWarmAndJobs4MatchSerialByteForByte)
+{
+    const std::string sc = GetParam();
+    const std::size_t n = gridSize(sc);
+    TempDir tmp;
+    const std::string cache = (tmp.path / "cache").string();
+
+    const std::string serial =
+        runToFile(sc, {"--csv"}, tmp, "serial.csv");
+    ASSERT_FALSE(serial.empty());
+    EXPECT_EQ(runToFile(sc, {"--csv", "--jobs", "4"}, tmp, "j4.csv"),
+              serial);
+
+    CliRun cold, warm;
+    EXPECT_EQ(runToFile(sc, {"--csv", "--cache-dir", cache}, tmp,
+                        "cold.csv", &cold),
+              serial);
+    EXPECT_EQ(cold.cacheStat("hits"), 0u);
+    EXPECT_EQ(cold.cacheStat("stores"), n);
+    EXPECT_EQ(runToFile(sc, {"--csv", "--cache-dir", cache}, tmp,
+                        "warm.csv", &warm),
+              serial);
+    EXPECT_EQ(warm.cacheStat("hits"), n);
+    EXPECT_EQ(warm.cacheStat("misses"), 0u);
+
+    // The human-readable rendering replays identically too.
+    EXPECT_EQ(runToFile(sc, {"--cache-dir", cache, "--jobs", "4"}, tmp,
+                        "warm.txt"),
+              runToFile(sc, {}, tmp, "serial.txt"));
+}
+
+TEST_P(CachedCli, TwoShardsThenMergeMatchSerial)
+{
+    const std::string sc = GetParam();
+    const std::size_t n = gridSize(sc);
+    TempDir tmp;
+    const std::string cache = (tmp.path / "cache").string();
+
+    // A shard stores exactly its slice and writes no report.
+    const std::size_t slice[] = {(n + 1) / 2, n / 2};
+    for (unsigned k = 0; k < 2; ++k) {
+        const std::string shard = std::to_string(k) + "/2";
+        CliRun run;
+        EXPECT_EQ(runToFile(sc,
+                            {"--csv", "--cache-dir", cache, "--shard",
+                             shard},
+                            tmp, "shard.csv", &run),
+                  "");
+        EXPECT_EQ(run.cacheStat("hits"), 0u) << shard;
+        EXPECT_EQ(run.cacheStat("stores"), slice[k]) << shard;
+    }
+    service::Json index;
+    ASSERT_TRUE(service::Json::parse(
+        slurp(fs::path(cache) / "index.json"), index));
+    EXPECT_EQ(index.getU64("stores"), n);
+
+    // The merge is the same command without --shard: an all-hit
+    // replay in grid order.
+    CliRun merge;
+    EXPECT_EQ(runToFile(sc, {"--csv", "--cache-dir", cache}, tmp,
+                        "merge.csv", &merge),
+              runToFile(sc, {"--csv"}, tmp, "serial.csv"));
+    EXPECT_EQ(merge.cacheStat("hits"), n);
+    EXPECT_EQ(merge.cacheStat("misses"), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, CachedCli,
+                         ::testing::Values("fig8", "ablation_rs"));
+
+TEST(ShardCli, MalformedOrUncacheableShardsAreRejected)
+{
+    TempDir tmp;
+    const std::string cache = (tmp.path / "cache").string();
+    for (const char *spec : {"2/2", "0/0", "a/b", "1", "0/", "/2"}) {
+        EXPECT_EQ(runCli("fig8", {"--cache-dir", cache, "--shard", spec})
+                      .code,
+                  2)
+            << spec;
+    }
+    EXPECT_EQ(runCli("fig8", {"--cache-dir", cache, "--shard"}).code, 2);
+    EXPECT_EQ(runCli("fig8", {"--shard", "0/2"}).code, 2);
+    // microbench measures host time: nothing to cache, nothing to shard.
+    EXPECT_EQ(runCli("microbench",
+                     {"--cache-dir", cache, "--shard", "0/2"})
+                  .code,
+              2);
+    EXPECT_FALSE(fs::exists(fs::path(cache) / "index.json"));
 }
 
 TEST(Report, WriteOutCreatesMissingParentDirectories)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests of the sweep-service result cache (src/sim/service/cache.*):
+ * Tests of the --cache-dir result cache (src/sim/service/cache.*):
  * canonical-key stability and sensitivity (every semantic input must
- * change the key), store/lookup round-trips through the wire codec,
+ * change the key), store/lookup round-trips through the row codec,
  * and the corruption defenses — truncated, garbage, tampered and
  * version-skewed entries must all be rejected and recomputed, never
  * trusted.
@@ -361,10 +361,10 @@ TEST(ResultCache, FingerprintChangeMissesOldEntries)
 
 TEST(ResultCache, ConcurrentWritersNeverLoseIndexUpdates)
 {
-    // Multiple daemons may share one --cache-dir (a fleet on one
-    // host). Object files are content-addressed and rename-published,
-    // but index.json is a read-merge-write — without the flock it is
-    // a lost-update race. Hammer it: several forked writers each
+    // Concurrent --shard runs share one --cache-dir. Object files
+    // are content-addressed and rename-published, but index.json is
+    // a read-merge-write — without the flock it is a lost-update
+    // race. Hammer it: several forked writers each
     // store distinct entries and flush concurrently; the final index
     // must account for every store.
     constexpr int kWriters = 8;

@@ -22,7 +22,6 @@ registerAllScenarios(experiment::ScenarioRegistry &r)
     registerAblationSmt(r);
     registerAblationCrossCore(r);
     registerAblationCoherence(r);
-    registerMicrobench(r);
 }
 
 const experiment::ScenarioRegistry &

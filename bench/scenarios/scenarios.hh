@@ -27,7 +27,6 @@ void registerAblationRs(experiment::ScenarioRegistry &r);
 void registerAblationSmt(experiment::ScenarioRegistry &r);
 void registerAblationCrossCore(experiment::ScenarioRegistry &r);
 void registerAblationCoherence(experiment::ScenarioRegistry &r);
-void registerMicrobench(experiment::ScenarioRegistry &r);
 /// @}
 
 /** Register every scenario above into @p r. */

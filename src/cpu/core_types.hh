@@ -44,9 +44,6 @@ struct CoreConfig
     /** Runaway guard for run(). */
     std::uint64_t maxCycles = 2'000'000;
 
-    /** Record timing of labeled instructions. */
-    bool recordTrace = true;
-
     /**
      * Stall fast-forward: when no pipeline structure can change state
      * this cycle (everything is waiting on fills or busy timers with
@@ -60,15 +57,6 @@ struct CoreConfig
      * PipelineEngine::fastForwardEligible().
      */
     bool fastForward = false;
-
-    /**
-     * Stats-lite mode: skip the per-retire instruction trace and the
-     * per-cycle SMT contention sampling. Cycle counts and aggregate
-     * stats are unchanged — only observation logs are elided. Must be
-     * off in every attack scenario (the attack entry points fatal()
-     * otherwise).
-     */
-    bool statsLite = false;
 
     /**
      * Structural sanity check. @return "" if the configuration is

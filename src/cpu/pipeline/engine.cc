@@ -155,6 +155,7 @@ PipelineEngine::step()
     if (allHalted() || now_ >= cfg_.maxCycles)
         return false;
     tick();
+    ++ticks_;
     return true;
 }
 
@@ -204,16 +205,14 @@ PipelineEngine::publishMetrics()
         reg.counterAdd(t + "stalls.mshr_contended",
                        s.mshrContendedCycles);
         reg.counterAdd(t + "stalls.rs_blocked", s.rsBlockedCycles);
-        if (!cfg_.statsLite) {
-            // SoA-bank usage: allocations this run and peak occupancy
-            // against the bank's fixed capacity (reuse pressure).
-            const Rob &rob = tp->rob;
-            reg.counterAdd(t + "pool.rob.pushes", rob.pushes());
-            reg.sampleAdd(t + "pool.rob.high_water",
-                          static_cast<double>(rob.highWater()));
-            reg.sampleAdd(t + "pool.rob.capacity",
-                          static_cast<double>(rob.capacity()));
-        }
+        // SoA-bank usage: allocations this run and peak occupancy
+        // against the bank's fixed capacity (reuse pressure).
+        const Rob &rob = tp->rob;
+        reg.counterAdd(t + "pool.rob.pushes", rob.pushes());
+        reg.sampleAdd(t + "pool.rob.high_water",
+                      static_cast<double>(rob.highWater()));
+        reg.sampleAdd(t + "pool.rob.capacity",
+                      static_cast<double>(rob.capacity()));
     }
     // The Hierarchy is shared by every engine of a System; publishing
     // from core 0 only keeps the shared counters single-sourced.
@@ -389,7 +388,7 @@ PipelineEngine::fastForwardTo(Tick target)
     // The skipped region is by construction transition-free, so the
     // trace records it as one arithmetic stall span instead of the
     // per-cycle events the naive loop would (not) have produced.
-    if (obs::tracingEnabled() && !cfg_.statsLite) {
+    if (obs::tracingEnabled()) {
         if (stallTraceTrack_ == 0) {
             stallTraceTrack_ = obs::EventTracer::global().track(
                 "core" + std::to_string(id_) + ".stall");
@@ -442,7 +441,7 @@ PipelineEngine::sampleContention()
             ++th.stats.portContendedCycles;
         if (th.mshrContended)
             ++th.stats.mshrContendedCycles;
-        if (!smt_.recordContention || cfg_.statsLite)
+        if (!smt_.recordContention)
             continue;
         ContentionSample s;
         s.cycle = now_;

@@ -189,6 +189,10 @@ class PipelineEngine
     std::uint64_t safetyVisits() const { return sched_.safetyVisits(); }
     /** Issue-stage work counter (Scheduler::issueVisits). */
     std::uint64_t issueVisits() const { return sched_.issueVisits(); }
+    /** Work counter: cycles actually simulated by step() since
+     *  construction. Unlike now(), it excludes cycles skipped by stall
+     *  fast-forward (tests/test_safety_invariant.cc bounds it). */
+    std::uint64_t ticks() const { return ticks_; }
     /// @}
 
     /** Fetch-stage grants per thread over the last run (fairness). */
@@ -230,6 +234,7 @@ class PipelineEngine
     FrontUnit front_;
 
     Tick now_ = 0;
+    std::uint64_t ticks_ = 0;
     CycleHook cycleHook_;
     /** Lazily interned trace track for fast-forward stall spans. */
     std::uint32_t stallTraceTrack_ = 0;

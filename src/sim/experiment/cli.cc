@@ -174,6 +174,12 @@ CliArgs::parse(int argc, char **argv) const
                     std::uint64_t v;
                     if (!value(v))
                         return res;
+                    // Scenarios read extra flags as counts (unsigned).
+                    if (v > UINT_MAX) {
+                        res.error = arg + " must be <= " +
+                                    std::to_string(UINT_MAX);
+                        return res;
+                    }
                     opt.extra[f.name] = v;
                     matched = true;
                     break;

@@ -231,14 +231,6 @@ int
 runResolved(const Scenario &scenario, const RunOptions &options)
 {
     const bool shard = options.shardCount != 0;
-    if (shard && !scenario.cacheable) {
-        std::fprintf(stderr,
-                     "error: scenario '%s' measures host time; its "
-                     "points cannot be cached, so --shard is "
-                     "unavailable\n",
-                     scenario.name.c_str());
-        return 2;
-    }
 
     if (!options.logLevel.empty()) {
         LogLevel level;
@@ -281,17 +273,8 @@ runResolved(const Scenario &scenario, const RunOptions &options)
         };
     const char *fingerprint = service::buildFingerprint();
     std::unique_ptr<service::ResultCache> cache;
-    if (!options.cacheDir.empty()) {
-        if (!scenario.cacheable) {
-            std::fprintf(stderr,
-                         "[cache] scenario '%s' measures host time; "
-                         "--cache-dir ignored\n",
-                         scenario.name.c_str());
-        } else {
-            cache = std::make_unique<service::ResultCache>(
-                options.cacheDir);
-        }
-    }
+    if (!options.cacheDir.empty())
+        cache = std::make_unique<service::ResultCache>(options.cacheDir);
     if (shard && !cache->enabled())
         return 1; // the cache already said why; it is a shard's output
     if (cache && cache->enabled()) {

@@ -84,9 +84,8 @@ Report::renderJson() const
     out += "  \"cpu_us\": " + std::to_string(cpuUs()) + ",\n";
     if (cacheEnabled) {
         // Only cache-backed runs emit this block, so default JSON
-        // output stays byte-identical with caching off. Consumers
-        // (scripts/check_bench_regression.py) use it to recognise
-        // warm timings that must not be treated as measurements.
+        // output stays byte-identical with caching off. Consumers use
+        // it to recognise warm timings that are not measurements.
         out += "  \"cache\": {\"hits\": " + std::to_string(cacheHits) +
                ", \"misses\": " + std::to_string(cacheMisses) + "},\n";
     }

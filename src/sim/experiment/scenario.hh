@@ -86,15 +86,6 @@ struct Scenario
     std::vector<ExtraFlag> extraFlags;
     /** Documented meaning of --trials for this scenario. */
     std::string trialsMeaning = "unused (deterministic scenario)";
-    /**
-     * Whether point results are a pure function of the PointContext
-     * (the seeding discipline above) and therefore safe to memoize in
-     * the --cache-dir result cache. Scenarios that measure host
-     * time (microbench) must clear this: a cached wall-clock number
-     * is stale the moment it is written.
-     */
-    bool cacheable = true;
-
     /** Column names, aligned with every row the points produce. */
     std::vector<std::string> columns;
 

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 
+#include "sim/experiment/value.hh"
+
 namespace specint::obs
 {
 
@@ -174,19 +176,6 @@ EventTracer::events() const
 namespace
 {
 
-std::string
-jsonStr(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
 void
 appendArgs(std::string &out, const TraceEvent &ev)
 {
@@ -213,6 +202,7 @@ appendArgs(std::string &out, const TraceEvent &ev)
 std::string
 EventTracer::renderJson() const
 {
+    using experiment::jsonEscape;
     std::vector<TraceEvent> evs = events();
     std::vector<std::string> names;
     {
@@ -290,7 +280,7 @@ EventTracer::renderJson() const
         out += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" +
                std::to_string(ev.pid) +
                ",\"tid\":" + std::to_string(ev.track) +
-               ",\"args\":{\"name\":" + jsonStr(name) + "}}";
+               ",\"args\":{\"name\":" + jsonEscape(name) + "}}";
     }
 
     for (const TraceEvent &ev : evs) {
@@ -298,9 +288,9 @@ EventTracer::renderJson() const
         out += "{\"ph\":\"";
         out += ev.ph;
         out += "\",\"name\":";
-        out += jsonStr(ev.name);
+        out += jsonEscape(ev.name);
         out += ",\"cat\":";
-        out += jsonStr(*ev.cat ? ev.cat : "sim");
+        out += jsonEscape(*ev.cat ? ev.cat : "sim");
         out += ",\"pid\":" + std::to_string(ev.pid);
         out += ",\"tid\":" + std::to_string(ev.track);
         out += ",\"ts\":" + std::to_string(ev.ts);

@@ -8,8 +8,7 @@
  *
  *  1. Zero cost when off. Every emit site is guarded by
  *     `obs::tracingEnabled()` — one relaxed atomic load and a branch —
- *     so the microbench perf gate sees no regression with tracing
- *     disabled.
+ *     so a run with tracing disabled pays nothing measurable for it.
  *  2. Bounded memory when on. Events land in a fixed-capacity ring
  *     (default 256K); the oldest events are overwritten and counted in
  *     dropped(), never reallocated.

@@ -59,11 +59,6 @@ validatedHierConfig(const SystemConfig &cfg)
 System::System(SystemConfig cfg)
     : cfg_(std::move(cfg)), hier_(validatedHierConfig(cfg_))
 {
-    if (cfg_.hier.statsLite && cfg_.smt.recordContention) {
-        warn("System: statsLite requested with smt.recordContention — "
-             "per-cycle contention sampling defeats the raw-speed "
-             "intent (and disables stall fast-forward)");
-    }
     for (unsigned c = 0; c < cfg_.numCores; ++c) {
         cores_.push_back(std::make_unique<PipelineEngine>(
             cfg_.core, cfg_.smt, static_cast<CoreId>(c), hier_, mem_,

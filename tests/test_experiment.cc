@@ -229,6 +229,13 @@ TEST(CliArgs, MalformedAndMissingValuesRejected)
     EXPECT_FALSE(parseArgs(cli, {"--trials", "4294967296"}).ok);
     EXPECT_FALSE(parseArgs(cli, {"--jobs", "4294967296"}).ok);
     EXPECT_TRUE(parseArgs(cli, {"--trials", "4294967295"}).ok);
+    // Scenario extra flags are counts too: --bits 2^32 must not
+    // narrow to 0 bits.
+    const CliParse big = parseArgs(cli, {"--bits", "4294967296"});
+    EXPECT_FALSE(big.ok);
+    EXPECT_EQ(big.error, "--bits must be <= 4294967295");
+    EXPECT_FALSE(parseArgs(cli, {"--bits", "18446744073709551615"}).ok);
+    EXPECT_TRUE(parseArgs(cli, {"--bits", "4294967295"}).ok);
 }
 
 TEST(CliArgs, ExtraFlagParsesAndJobsZeroMeansHardware)
@@ -400,11 +407,10 @@ TEST(RegisteredScenarios, AllBenchesRegistered)
     for (const char *name :
          {"table1", "fig7", "fig8", "fig11", "fig12",
           "ablation_advanced", "ablation_mshr", "ablation_rs",
-          "ablation_smt", "ablation_cross_core", "ablation_coherence",
-          "microbench"}) {
+          "ablation_smt", "ablation_cross_core", "ablation_coherence"}) {
         EXPECT_NE(reg.find(name), nullptr) << name;
     }
-    EXPECT_EQ(reg.size(), 12u);
+    EXPECT_EQ(reg.size(), 11u);
 }
 
 namespace
@@ -601,7 +607,6 @@ TEST(RegisteredScenarios, SweepSizesMatchLegacyGrids)
         {"fig12", 12},   {"ablation_advanced", 5},
         {"ablation_mshr", 7}, {"ablation_rs", 6},
         {"ablation_smt", 72}, {"ablation_cross_core", 24},
-        {"microbench", 22},
     };
     for (const auto &e : expected) {
         const Scenario *sc = reg.find(e.name);
@@ -612,23 +617,6 @@ TEST(RegisteredScenarios, SweepSizesMatchLegacyGrids)
         for (const ExtraFlag &f : sc->extraFlags)
             defaults.extra[f.name] = f.defaultValue;
         EXPECT_EQ(sc->sweep(defaults).size(), e.points) << e.name;
-    }
-}
-
-TEST(RegisteredScenarios, MicrobenchSimOnlyFiltersToSimulationRows)
-{
-    const Scenario *sc = scenarios::all().find("microbench");
-    ASSERT_NE(sc, nullptr);
-    RunOptions opts;
-    opts.trials = sc->defaultTrials;
-    opts.extra["sim-only"] = 1;
-    const SweepSpec spec = sc->sweep(opts);
-    EXPECT_EQ(spec.size(), 17u); // 15 simulation + 2 trial-setup rows
-    for (const SweepPoint &pt : spec.expand()) {
-        const std::string &name = pt.at("bench");
-        EXPECT_TRUE(name.find("Simulation") != std::string::npos ||
-                    name.find("TrialSetup") != std::string::npos)
-            << name;
     }
 }
 
@@ -824,7 +812,7 @@ TEST_P(CachedCli, TwoShardsThenMergeMatchSerial)
 INSTANTIATE_TEST_SUITE_P(Scenarios, CachedCli,
                          ::testing::Values("fig8", "ablation_rs"));
 
-TEST(ShardCli, MalformedOrUncacheableShardsAreRejected)
+TEST(ShardCli, MalformedShardsAreRejected)
 {
     TempDir tmp;
     const std::string cache = (tmp.path / "cache").string();
@@ -836,11 +824,6 @@ TEST(ShardCli, MalformedOrUncacheableShardsAreRejected)
     }
     EXPECT_EQ(runCli("fig8", {"--cache-dir", cache, "--shard"}).code, 2);
     EXPECT_EQ(runCli("fig8", {"--shard", "0/2"}).code, 2);
-    // microbench measures host time: nothing to cache, nothing to shard.
-    EXPECT_EQ(runCli("microbench",
-                     {"--cache-dir", cache, "--shard", "0/2"})
-                  .code,
-              2);
     EXPECT_FALSE(fs::exists(fs::path(cache) / "index.json"));
 }
 

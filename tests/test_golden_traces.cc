@@ -4,14 +4,14 @@
  *
  * The one place where the simulator's reported numbers are pinned:
  * every registered scenario point runs at fixed seeds under each
- * engine variant — {baseline tick loop, stall fast-forward on,
- * stats-lite on, both} — and every variant must reproduce the golden
+ * engine variant — {baseline tick loop, stall fast-forward on} — and
+ * every variant must reproduce the golden
  * cycle counts, final stats, architectural register file and channel
  * verdicts exactly. The golden rows were captured from the
  * pre-unification Core pipeline (commit affb3f5) and promoted here
  * from test_smt.cc; any divergence — from the arena-backed ROB, the
- * fast-forward skip logic, stats-lite elision or a future rewrite —
- * fails loudly with the variant name. The SMT contention rows pin the
+ * fast-forward skip logic or a future rewrite — fails loudly with the
+ * variant name. The SMT contention rows pin the
  * two-thread channel down to each thread's per-cycle contention
  * samples.
  *
@@ -62,14 +62,11 @@ struct EngineVariant
 {
     const char *name;
     bool fastForward;
-    bool statsLite;
 };
 
 constexpr EngineVariant kVariants[] = {
-    {"baseline", false, false},
-    {"fastforward", true, false},
-    {"statslite", false, true},
-    {"fastforward+statslite", true, true},
+    {"baseline", false},
+    {"fastforward", true},
 };
 
 CoreConfig
@@ -77,15 +74,6 @@ variantCoreConfig(const EngineVariant &v)
 {
     CoreConfig cfg;
     cfg.fastForward = v.fastForward;
-    cfg.statsLite = v.statsLite;
-    return cfg;
-}
-
-HierarchyConfig
-variantHierConfig(const EngineVariant &v)
-{
-    HierarchyConfig cfg = HierarchyConfig::small();
-    cfg.statsLite = v.statsLite;
     return cfg;
 }
 
@@ -208,7 +196,7 @@ TEST_P(GoldenTraceTest, CoreFacadeMatchesGoldenUnderEveryVariant)
     const GeneratedWorkload wl = generateWorkload(fuzzSpec(g.seed));
 
     for (const EngineVariant &v : kVariants) {
-        Hierarchy hier(variantHierConfig(v));
+        Hierarchy hier(HierarchyConfig::small());
         MainMemory mem;
         for (const auto &[a, v2] : wl.memInit)
             mem.write(a, v2);
@@ -237,7 +225,7 @@ TEST_P(GoldenTraceTest, SingleThreadSmtCoreMatchesGoldenUnderEveryVariant)
     const GeneratedWorkload wl = generateWorkload(fuzzSpec(g.seed));
 
     for (const EngineVariant &v : kVariants) {
-        Hierarchy hier(variantHierConfig(v));
+        Hierarchy hier(HierarchyConfig::small());
         MainMemory mem;
         for (const auto &[a, v2] : wl.memInit)
             mem.write(a, v2);
@@ -310,7 +298,7 @@ TEST(ReusedFixtureGoldenTest, ReusedCoreMatchesGoldenUnderEveryVariant)
         // One long-lived substrate per variant, reused across all 33
         // golden points in sequence — every row must still match the
         // numbers a fresh Core produces.
-        Hierarchy hier(variantHierConfig(v));
+        Hierarchy hier(HierarchyConfig::small());
         MainMemory mem;
         Core core(variantCoreConfig(v), 0, hier, mem);
         for (const GoldenTrace &g : kGoldenTraces) {
@@ -401,7 +389,7 @@ TEST(SystemGoldenTest, FastForwardMatchesBaselineWithContentionModel)
         SystemConfig cfg;
         cfg.numCores = 2;
         cfg.core = variantCoreConfig(v);
-        cfg.hier = variantHierConfig(v);
+        cfg.hier = HierarchyConfig::small();
         cfg.hier.llcPortBusy = llc_port_busy;
         cfg.hier.llcMshrs = llc_mshrs;
         System sys(cfg);
@@ -435,33 +423,6 @@ TEST(SystemGoldenTest, FastForwardMatchesBaselineWithContentionModel)
             }
         }
     }
-}
-
-TEST(SystemGoldenTest, StatsLiteElidesTheLlcTraceOnly)
-{
-    const GeneratedWorkload wl =
-        generateWorkload(systemSpec(5, 0x01000000, 0x400000));
-
-    auto run_once = [&](bool stats_lite) {
-        SystemConfig cfg;
-        cfg.numCores = 1;
-        cfg.hier.statsLite = stats_lite;
-        System sys(cfg);
-        for (const auto &[a, val] : wl.memInit)
-            sys.memory().write(a, val);
-        const SystemRunResult res = sys.run({{&wl.prog}});
-        return std::make_pair(res,
-                              sys.hierarchy().llcTrace().size());
-    };
-
-    const auto [base, base_trace] = run_once(false);
-    const auto [lite, lite_trace] = run_once(true);
-    ASSERT_TRUE(base.finished && lite.finished);
-    EXPECT_EQ(lite.cycles, base.cycles);
-    expectThreadStatsEqual(lite.cores[0].threads[0],
-                           base.cores[0].threads[0], "statsLite hier");
-    EXPECT_GT(base_trace, 0u);
-    EXPECT_EQ(lite_trace, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -718,30 +679,6 @@ INSTANTIATE_TEST_SUITE_P(
                "_p" + std::to_string(info.param.policy) + "_w" +
                std::to_string(info.param.issueWidth);
     });
-
-// ---------------------------------------------------------------------
-// Stats-lite is asserted off in every attack scenario
-// ---------------------------------------------------------------------
-
-TEST(StatsLiteDeathTest, AttackEntryPointsRejectStatsLite)
-{
-    const auto bits = randomBits(2, 1);
-
-    ChannelConfig core_lite;
-    core_lite.core.statsLite = true;
-    EXPECT_EXIT(runDCacheChannel(bits, core_lite),
-                ::testing::ExitedWithCode(1), "statsLite");
-
-    ChannelConfig hier_lite;
-    hier_lite.hier.statsLite = true;
-    EXPECT_EXIT(runICacheChannel(bits, hier_lite),
-                ::testing::ExitedWithCode(1), "statsLite");
-
-    SmtChannelConfig smt_lite;
-    smt_lite.core.statsLite = true;
-    EXPECT_EXIT(runSmtContentionChannel(bits, smt_lite),
-                ::testing::ExitedWithCode(1), "statsLite");
-}
 
 } // namespace
 } // namespace specint

@@ -20,6 +20,7 @@
 #include "sim/obs/metrics.hh"
 #include "sim/obs/profile.hh"
 #include "sim/obs/trace.hh"
+#include "sim/service/json.hh"
 
 namespace specint
 {
@@ -192,6 +193,30 @@ TEST_F(ObservabilityTest, RenderJsonHasTraceEventSchema)
     EXPECT_NE(json.find("\"pc\":7"), std::string::npos);
 }
 
+TEST_F(ObservabilityTest, RenderJsonEscapesControlCharacters)
+{
+    // Track and event names are arbitrary strings: a control character
+    // in one must still render a trace that parses back as JSON.
+    const std::string name = "a\nb\x01";
+    obs::EventTracer tracer;
+    tracer.setEnabled(true);
+    tracer.complete(tracer.track(name), "inst", "pipeline", 1, 1);
+
+    const std::string json = tracer.renderJson();
+    // JSON strings may not hold raw control characters.
+    EXPECT_EQ(json.find(name), std::string::npos);
+    EXPECT_NE(json.find("\"a\\nb\\u0001\""), std::string::npos);
+    service::Json doc;
+    std::string error;
+    ASSERT_TRUE(service::Json::parse(json, doc, &error)) << error;
+    bool named = false;
+    for (const service::Json &ev : doc.get("traceEvents").items()) {
+        if (ev.getStr("name", "") == "thread_name")
+            named = named || ev.get("args").getStr("name", "") == name;
+    }
+    EXPECT_TRUE(named);
+}
+
 /** A scenario whose points emit synthetic trace events and metrics:
  *  determinism across worker counts is a property of the obs layer,
  *  not of any particular simulation. */
@@ -312,26 +337,6 @@ TEST_F(ObservabilityTest, CoreRunEmitsTraceEventsWhenEnabled)
     EXPECT_NE(json.find("core0.t0"), std::string::npos);
     EXPECT_NE(json.find("core0.mem"), std::string::npos);
     EXPECT_NE(json.find("\"inst\""), std::string::npos);
-}
-
-TEST_F(ObservabilityTest, StatsLiteElidesTraceEvents)
-{
-    HierarchyConfig hcfg = HierarchyConfig::small();
-    hcfg.statsLite = true;
-    Hierarchy hier(hcfg);
-    MainMemory mem;
-    CoreConfig ccfg = tinyCoreConfig();
-    ccfg.statsLite = true;
-    Core core(ccfg, 0, hier, mem);
-
-    obs::EventTracer::global().clear();
-    obs::EventTracer::global().setEnabled(true);
-    core.run(tinyProgram());
-    obs::EventTracer::global().setEnabled(false);
-
-    // statsLite elides the tracer's event sources exactly as it elides
-    // the instruction/LLC traces; the run stays raw-speed.
-    EXPECT_EQ(obs::EventTracer::global().size(), 0u);
 }
 
 TEST_F(ObservabilityTest, ObservabilityOffLeavesSinksEmpty)

@@ -40,11 +40,19 @@
  * and the issue stage's work counter stays within a small multiple of
  * the dispatched instructions under the fence schemes, and of the
  * cycles on the SMT port channel.
+ *
+ * WorkGate guards simulation speed with exact counts on the
+ * simulation-speed programs (Core, SMT and System, with and without
+ * memory stalls): without fast-forward every cycle is ticked, with it
+ * at most a captured fraction of them is, and issue and safety visits
+ * per dispatched instruction stay within captured bounds.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -56,6 +64,7 @@
 #include "memory/hierarchy.hh"
 #include "smt/smt_core.hh"
 #include "spec/scheme.hh"
+#include "system/system.hh"
 #include "workload/generator.hh"
 
 namespace specint
@@ -449,6 +458,234 @@ TEST(SafetyWorkCounter, NoDeferredVisibilityMeansNoWork)
         EXPECT_EQ(core.engine().safetyVisits(), 0u) << schemeName(kind);
     }
 }
+
+// ---------------------------------------------------------------------
+// Exact work gates over the simulation-speed programs
+// ---------------------------------------------------------------------
+
+/**
+ * Simulation speed is guarded by exact work counts, not wall-clock
+ * ratios: cycles actually ticked (PipelineEngine::ticks) and the issue
+ * and safety stages' visits per dispatched instruction. The programs
+ * are generateWorkload's default spec (a straight-line compulsory-miss
+ * stream) and memStallSpec (serial pointer chases over a footprint far
+ * beyond the small hierarchy, so most cycles stall on misses — the
+ * profile the stall fast-forward targets), 4000 instructions each, on
+ * Core, a two-thread SmtCore and a two-core System. Each runs under
+ * the unsafe baseline, a fence scheme (gate-parked issue) and a
+ * deferred-visibility scheme (the event-driven safety stage).
+ */
+enum class GateEngine { Core, Smt, System };
+
+WorkloadSpec
+memStallSpec()
+{
+    WorkloadSpec spec;
+    spec.loadFrac = 0.35;
+    spec.chaseFrac = 0.5;
+    spec.footprintLines = 4096;
+    return spec;
+}
+
+/** Work done by every engine of one run, summed. */
+struct GateWork
+{
+    Tick cycles = 0;
+    std::uint64_t ticks = 0;
+    std::uint64_t dispatched = 0;
+    std::uint64_t issueVisits = 0;
+    std::uint64_t safetyVisits = 0;
+
+    void
+    add(const PipelineEngine &eng)
+    {
+        cycles += eng.now();
+        ticks += eng.ticks();
+        for (ThreadId t = 0; t < eng.numThreads(); ++t)
+            dispatched += eng.thread(t).rob.pushes();
+        issueVisits += eng.issueVisits();
+        safetyVisits += eng.safetyVisits();
+    }
+};
+
+struct GateRow
+{
+    GateEngine engine;
+    bool memstall;
+    SchemeKind scheme;
+    /** Bounds, each the ratio measured on this program rounded up to
+     *  two significant digits: ticks per cycle with fastForward on,
+     *  and issue and safety visits per dispatched instruction with it
+     *  off. */
+    double ffTicksPerCycle;
+    double issuePerDispatched;
+    double safetyPerDispatched;
+};
+
+std::string
+gateName(const GateRow &row)
+{
+    static const char *const kEngines[] = {"Core", "SmtCore", "System"};
+    return std::string(kEngines[static_cast<int>(row.engine)]) + "/4000" +
+           (row.memstall ? "/memstall " : " ") + schemeName(row.scheme);
+}
+
+/** gtest's failure listing names the row, not its bytes. */
+void
+PrintTo(const GateRow &row, std::ostream *os)
+{
+    *os << gateName(row);
+}
+
+void
+loadMemory(MainMemory &mem, const GeneratedWorkload &wl)
+{
+    for (const auto &[a, v] : wl.memInit)
+        mem.write(a, v);
+}
+
+GateWork
+runGate(const GateRow &row, bool fast_forward)
+{
+    CoreConfig cfg;
+    cfg.fastForward = fast_forward;
+    const std::string what = gateName(row);
+    WorkloadSpec spec = row.memstall ? memStallSpec() : WorkloadSpec{};
+    spec.instructions = 4000;
+    GateWork w;
+    switch (row.engine) {
+      case GateEngine::Core: {
+        const GeneratedWorkload wl = generateWorkload(spec);
+        Hierarchy hier(HierarchyConfig::small());
+        MainMemory mem;
+        loadMemory(mem, wl);
+        Core core(cfg, 0, hier, mem);
+        core.setScheme(makeScheme(row.scheme));
+        EXPECT_TRUE(core.run(wl.prog).finished) << what;
+        w.add(core.engine());
+        break;
+      }
+      case GateEngine::Smt: {
+        const GeneratedWorkload wl0 = generateWorkload(spec);
+        spec.seed = 999;
+        spec.storeFrac = 0.0;
+        const GeneratedWorkload wl1 = generateWorkload(spec);
+        Hierarchy hier(HierarchyConfig::small());
+        MainMemory mem;
+        loadMemory(mem, wl0);
+        loadMemory(mem, wl1);
+        SmtCore core(cfg, SmtConfig{}, 0, hier, mem);
+        for (ThreadId t = 0; t < 2; ++t)
+            core.setScheme(t, makeScheme(row.scheme));
+        EXPECT_TRUE(core.run({&wl0.prog, &wl1.prog}).finished)
+            << what;
+        w.add(core.engine());
+        break;
+      }
+      case GateEngine::System: {
+        spec.dataBase = 0x01000000;
+        spec.codeBase = 0x400000;
+        const GeneratedWorkload wl0 = generateWorkload(spec);
+        spec.seed = 999;
+        spec.dataBase = 0x02000000;
+        spec.codeBase = 0x500000;
+        const GeneratedWorkload wl1 = generateWorkload(spec);
+        SystemConfig sc;
+        sc.numCores = 2;
+        sc.core = cfg;
+        sc.hier = HierarchyConfig::small();
+        sc.hier.llcPortBusy = 2;
+        sc.hier.llcMshrs = 8;
+        System sys(sc);
+        loadMemory(sys.memory(), wl0);
+        loadMemory(sys.memory(), wl1);
+        for (CoreId c = 0; c < 2; ++c)
+            sys.core(c).setScheme(0, makeScheme(row.scheme));
+        EXPECT_TRUE(sys.run({{&wl0.prog}, {&wl1.prog}}).finished)
+            << what;
+        for (CoreId c = 0; c < 2; ++c)
+            w.add(sys.core(c));
+        break;
+      }
+    }
+    return w;
+}
+
+constexpr GateEngine kCore = GateEngine::Core;
+constexpr GateEngine kSmt = GateEngine::Smt;
+constexpr GateEngine kSys = GateEngine::System;
+constexpr SchemeKind kUnsafe = SchemeKind::Unsafe;
+constexpr SchemeKind kFence = SchemeKind::FenceSpectre;
+constexpr SchemeKind kDom = SchemeKind::DomNonTso;
+
+const GateRow kGateRows[] = {
+    // engine, memstall, scheme, ff ticks/cycle, visits/dispatched
+    //                                            (issue, safety)
+    {kCore, false, kUnsafe, 0.11, 2.2, 0},
+    {kCore, true, kUnsafe, 0.039, 2.5, 0},
+    {kSmt, false, kUnsafe, 0.45, 3.9, 0},
+    {kSmt, true, kUnsafe, 0.13, 5.2, 0},
+    {kSys, false, kUnsafe, 0.18, 2.3, 0},
+    {kSys, true, kUnsafe, 0.063, 2.4, 0},
+    {kCore, false, kFence, 0.12, 2.2, 0},
+    {kCore, true, kFence, 0.049, 1.7, 0},
+    {kSmt, false, kFence, 0.44, 1.8, 0},
+    {kSmt, true, kFence, 0.11, 2.7, 0},
+    {kSys, false, kFence, 0.18, 2.1, 0},
+    {kSys, true, kFence, 0.077, 1.6, 0},
+    // DoM's WaitSafe loads are re-tried every cycle while they wait
+    // for their safe point, hence the issue visits under memory stall.
+    {kCore, false, kDom, 0.12, 15, 0.011},
+    {kCore, true, kDom, 0.65, 290, 0.00024},
+    {kSmt, false, kDom, 0.54, 21, 0.013},
+    {kSmt, true, kDom, 0.26, 140, 0.0054},
+    {kSys, false, kDom, 0.23, 17, 0.011},
+    {kSys, true, kDom, 0.83, 280, 0.00018},
+};
+
+class WorkGate : public ::testing::TestWithParam<GateRow>
+{};
+
+TEST_P(WorkGate, TicksEqualCyclesUnlessFastForwarded)
+{
+    const GateRow &row = GetParam();
+    const std::string what = gateName(row);
+    const GateWork tick = runGate(row, false);
+    EXPECT_EQ(tick.ticks, tick.cycles) << what;
+    const GateWork ff = runGate(row, true);
+    EXPECT_EQ(ff.cycles, tick.cycles) << what;
+    EXPECT_LE(static_cast<double>(ff.ticks),
+              row.ffTicksPerCycle * static_cast<double>(ff.cycles))
+        << what << ": fast-forward ticked " << ff.ticks << " of "
+        << ff.cycles << " cycles";
+}
+
+TEST_P(WorkGate, VisitsPerDispatchedStayBounded)
+{
+    const GateRow &row = GetParam();
+    const std::string what = gateName(row);
+    const GateWork w = runGate(row, false);
+    const double dispatched = static_cast<double>(w.dispatched);
+    ASSERT_GT(dispatched, 0.0) << what;
+    EXPECT_LE(static_cast<double>(w.issueVisits),
+              row.issuePerDispatched * dispatched)
+        << what << ": " << w.issueVisits << " issue visits for "
+        << w.dispatched << " dispatched";
+    EXPECT_LE(static_cast<double>(w.safetyVisits),
+              row.safetyPerDispatched * dispatched)
+        << what << ": " << w.safetyVisits << " safety visits for "
+        << w.dispatched << " dispatched";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SimulationPrograms, WorkGate, ::testing::ValuesIn(kGateRows),
+    [](const auto &info) {
+        std::string name = gateName(info.param);
+        for (char &c : name)
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        return name;
+    });
 
 } // namespace
 } // namespace specint

@@ -13,8 +13,9 @@ cache contract:
    fresh cache store every point once, and the merge (the same command
    without --shard) hits every point and prints the serial CSV.
 4. Recovery: a shard SIGKILLed after its first store, then rerun,
-   serves its finished points as hits, and the merge is still
-   byte-identical to serial.
+   serves its finished points as hits, the merge is still
+   byte-identical to serial, and no tmp file the killed shard left
+   behind survives in `<dir>/tmp/`.
 5. Optional speedup floor (--min-speedup): the warm run must be at
    least N times faster than the cold run. Only meaningful for
    scenarios whose cold run is long enough to time reliably (fig11);
@@ -187,6 +188,10 @@ def shard_phases(r, tmp, serial_csv, points, failures):
     if rerun["hits"] == 0:
         failures.append("rerun of a killed shard served no hits")
     merge_check(r, d, serial_csv, points, "killed shard", failures)
+    leftover = sorted(os.listdir(os.path.join(d, "tmp")))
+    if leftover:
+        failures.append(f"killed shard: {len(leftover)} tmp file(s) "
+                        f"left in {d}/tmp: {leftover[:3]}")
 
 
 def scaling_phase(r, tmp, args, failures):

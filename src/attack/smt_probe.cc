@@ -179,7 +179,6 @@ SmtConfig
 probeSmtConfig(SmtConfig smt)
 {
     smt.numThreads = 2;
-    smt.recordContention = true;
     return smt;
 }
 
@@ -232,14 +231,12 @@ SmtProbeHarness::runTrial()
     SmtTrialOutcome out;
     out.cycles = run.cycles;
     out.finished = run.finished;
-    // Integrate the probe thread's per-cycle contention samples: held
-    // sibling port-0 cycles (Port) or sibling MSHR occupancy (Mshr).
-    for (const SmtContentionSample &s : smt_.contention(1)) {
-        if (atk_.params.kind == SmtChannelKind::Port)
-            out.score += s.port0HeldByOther ? 1 : 0;
-        else
-            out.score += s.mshrHeldByOther;
-    }
+    // The probe thread's held-by-sibling integral: port-0 cycles
+    // (Port) or MSHR entry-cycles (Mshr).
+    const ThreadStats &probe = run.threads[1];
+    out.score = atk_.params.kind == SmtChannelKind::Port
+                    ? probe.port0HeldByOtherCycles
+                    : probe.mshrHeldByOtherCycles;
     return out;
 }
 

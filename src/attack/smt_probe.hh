@@ -20,11 +20,12 @@
  *     its own lines and observes the sibling's MSHR occupancy through
  *     its allocation stalls.
  *
- * The probe's per-cycle observable is SmtCore's contention sample
- * stream (recordContention); the decoded score is the integral of
- * sibling-held port-0 cycles (Port) or sibling-held MSHR entries
- * (Mshr) over the run — the simulator-level proxy for the latency
- * self-measurements a real sibling attacker performs.
+ * The decoded score is the integral of sibling-held port-0 cycles
+ * (Port) or sibling-held MSHR entries (Mshr) over the run, which the
+ * engine keeps as running totals in the probe thread's ThreadStats —
+ * the simulator-level proxy for the latency self-measurements a real
+ * sibling attacker performs. The totals need no per-cycle sample
+ * stream, so probe trials skip dead cycles like any other run.
  *
  * Because invisible-speculation schemes hide *cache* state, not
  * execution-resource usage, this channel pierces every scheme that
@@ -137,8 +138,8 @@ struct SmtCalibration
 class SmtProbeHarness
 {
   public:
-    /** @param smt thread count is forced to 2 and contention
-     *  recording is enabled; sharing policies are honoured. */
+    /** @param smt thread count is forced to 2; sharing policies and
+     *  recordContention are honoured (the score does not need it). */
     SmtProbeHarness(SmtAttack attack, SchemeKind victim_scheme,
                     CoreConfig core = CoreConfig{},
                     SmtConfig smt = SmtConfig{},

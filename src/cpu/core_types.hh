@@ -50,13 +50,14 @@ struct CoreConfig
      * known completion times), run() advances the cycle counter to the
      * next transition in one step instead of ticking empty stages.
      * Cycle-exact by construction (tests/test_golden_traces.cc,
-     * tests/test_fastforward_fuzz.cc prove it differentially); off by
-     * default so existing harnesses see the literal tick loop.
-     * Ineligible (silently ignored) while a per-cycle hook or SMT
-     * contention sampling is active — see
+     * tests/test_fastforward_fuzz.cc prove it differentially), so it
+     * is on by default; set it to false to see the literal one-cycle
+     * tick loop (e.g. to step System::tick() cycle by cycle).
+     * Ineligible (silently ignored) while a per-cycle hook or the
+     * SmtConfig::recordContention sample stream is active — see
      * PipelineEngine::fastForwardEligible().
      */
-    bool fastForward = false;
+    bool fastForward = true;
 
     /**
      * Structural sanity check. @return "" if the configuration is

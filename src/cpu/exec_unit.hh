@@ -89,6 +89,19 @@ class PortSet
      *  holds at @p now (per-cycle contention sample). */
     unsigned countHeldByOther(ThreadId tid, Tick now) const;
 
+    /** Cycles of [@p from, @p to) in which a sibling of @p tid holds
+     *  the non-pipelined unit on @p port, assuming no port transition
+     *  in between (the held-by-sibling integral the SMT probe reads;
+     *  one cycle of it per ticked cycle, a closed form per skip). */
+    Tick heldByOtherCycles(std::uint8_t port, ThreadId tid, Tick from,
+                           Tick to) const
+    {
+        if (holder_[port] == kSeqNumInvalid || holderTid_[port] == tid)
+            return 0;
+        const Tick until = std::min(busyUntil_[port], to);
+        return until > from ? until - from : 0;
+    }
+
     /** Is the non-pipelined unit on @p port busy at @p now? */
     bool busy(std::uint8_t port, Tick now) const
     {

@@ -258,8 +258,10 @@ bool
 PipelineEngine::fastForwardEligible() const
 {
     // A per-cycle hook models a concurrent agent acting every cycle,
-    // and contention sampling records one sample per cycle: both make
-    // empty cycles observable, so the skip is only legal without them.
+    // and the opt-in contention stream records one sample per cycle:
+    // both make empty cycles observable, so the skip is only legal
+    // without them. The held-by-sibling running totals are not such an
+    // observer — fastForwardTo() adds them in closed form.
     return cfg_.fastForward && !cycleHook_ && !smt_.recordContention;
 }
 
@@ -385,6 +387,7 @@ PipelineEngine::fastForwardTo(Tick target)
         if (!tp->frontend.queueEmpty() && rs_.full(tp->tid))
             tp->stats.rsBlockedCycles += skipped;
     }
+    accrueHeldByOther(target);
     // The skipped region is by construction transition-free, so the
     // trace records it as one arithmetic stall span instead of the
     // per-cycle events the naive loop would (not) have produced.
@@ -433,8 +436,24 @@ PipelineEngine::tick()
 }
 
 void
+PipelineEngine::accrueHeldByOther(Tick until)
+{
+    // Nothing can be held by a sibling of the only thread.
+    if (threads_.size() < 2)
+        return;
+    for (auto &tp : threads_) {
+        ThreadStats &s = tp->stats;
+        s.port0HeldByOtherCycles +=
+            ports_.heldByOtherCycles(0, tp->tid, now_, until);
+        s.mshrHeldByOtherCycles +=
+            mshr_.heldByOtherCycles(tp->tid, now_, until);
+    }
+}
+
+void
 PipelineEngine::sampleContention()
 {
+    accrueHeldByOther(now_ + 1);
     for (auto &tp : threads_) {
         ThreadContext &th = *tp;
         if (th.portContended)

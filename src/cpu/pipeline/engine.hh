@@ -146,7 +146,7 @@ class PipelineEngine
      */
     /// @{
     /** Fast-forward is enabled and nothing observes individual empty
-     *  cycles (per-cycle hook, SMT contention sampling). */
+     *  cycles (per-cycle hook, the recordContention sample stream). */
     bool fastForwardEligible() const;
     /**
      * Earliest cycle at which any pipeline structure can change state:
@@ -205,6 +205,10 @@ class PipelineEngine
     bool allHalted() const;
     void tick();
     void sampleContention();
+    /** Add each thread's held-by-sibling port-0 and MSHR cycles over
+     *  [now(), @p until) to its running totals (no port or MSHR
+     *  transition may fall inside the span). */
+    void accrueHeldByOther(Tick until);
     /** Push this run's counters into the global MetricRegistry under
      *  "core<id>.". Called from finishRun() when metrics are armed;
      *  ThreadStats reset every run, so plain counterAdd cannot

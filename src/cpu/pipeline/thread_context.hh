@@ -61,6 +61,13 @@ struct ThreadStats
     std::uint64_t mshrContendedCycles = 0;
     /** Cycles dispatch stalled on a full RS share. */
     std::uint64_t rsBlockedCycles = 0;
+    /** Cycles port 0's non-pipelined unit was held by a sibling. */
+    std::uint64_t port0HeldByOtherCycles = 0;
+    /** MSHR entry-cycles held by siblings (the sum over cycles of
+     *  the entries they held). Together with port0HeldByOtherCycles
+     *  this is what the SMT probe integrates; both are running
+     *  totals, so they survive stall fast-forward. */
+    std::uint64_t mshrHeldByOtherCycles = 0;
     /// @}
 };
 

@@ -51,6 +51,18 @@ MshrFile::inUseBy(ThreadId tid, Tick now)
     return n;
 }
 
+Tick
+MshrFile::heldByOtherCycles(ThreadId tid, Tick from, Tick to) const
+{
+    Tick sum = 0;
+    for (const auto &e : live_) {
+        const Tick until = std::min(e.readyAt, to);
+        if (e.tid != tid && until > from)
+            sum += until - from;
+    }
+    return sum;
+}
+
 bool
 MshrFile::allocate(Addr addr, Tick now, Tick ready_at, SeqNum seq,
                    bool speculative, ThreadId tid)

@@ -60,6 +60,12 @@ class MshrFile
         return inUse(now) - inUseBy(tid, now);
     }
 
+    /** Entry-cycles of [@p from, @p to) held by threads other than
+     *  @p tid: each live sibling entry counts until its readyAt.
+     *  Needs no expiry pass, so it also covers entries of squashed
+     *  wrong-path loads that nothing waits on any more. */
+    Tick heldByOtherCycles(ThreadId tid, Tick from, Tick to) const;
+
     bool full(Tick now) { return inUse(now) >= entries_; }
 
     /** Is there already an entry for this line? */

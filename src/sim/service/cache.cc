@@ -8,12 +8,15 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <system_error>
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/file.h>
 #include <unistd.h>
 
@@ -94,6 +97,39 @@ payloadChecksumInput(const Json &rows, const std::string &legacy)
     return rows.dump() + "\x1f" + legacy;
 }
 
+/**
+ * Remove the files in @p tmp_dir that a writer left behind when it
+ * died between writing and renaming them (a SIGKILLed shard). Every
+ * tmp name ends in ".<pid>" of its writer; a file is orphaned iff that
+ * process no longer exists. Files of live processes, and of this one,
+ * are in use and stay.
+ */
+void
+removeOrphanedTmpFiles(const fs::path &tmp_dir)
+{
+    const pid_t self = ::getpid();
+    std::error_code ec;
+    for (fs::directory_iterator it(tmp_dir, ec), end; !ec && it != end;
+         it.increment(ec)) {
+        const std::string name = it->path().filename().string();
+        const std::size_t dot = name.rfind('.');
+        if (dot == std::string::npos || dot + 1 == name.size() ||
+            name.find_first_not_of("0123456789", dot + 1) !=
+                std::string::npos) {
+            continue;
+        }
+        const long pid = std::strtol(name.c_str() + dot + 1, nullptr, 10);
+        if (pid <= 0 || pid > std::numeric_limits<pid_t>::max() ||
+            pid == self) {
+            continue;
+        }
+        if (::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH) {
+            std::error_code rm_ec;
+            fs::remove(it->path(), rm_ec);
+        }
+    }
+}
+
 } // namespace
 
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
@@ -111,6 +147,7 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
         return;
     }
     enabled_ = true;
+    removeOrphanedTmpFiles(fs::path(dir_) / "tmp");
 }
 
 std::string

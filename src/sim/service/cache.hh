@@ -77,7 +77,10 @@ class ResultCache
     /**
      * Open (creating if needed) the cache at @p dir. On any
      * filesystem error the cache degrades to disabled: lookups miss,
-     * stores drop, and the error is reported once on stderr.
+     * stores drop, and the error is reported once on stderr. Opening
+     * removes the tmp/ files of writers that died before publishing
+     * them (their ".<pid>" suffix names a process that no longer
+     * exists), so the writers sharing a cache must share a host.
      */
     explicit ResultCache(std::string dir);
 

@@ -250,6 +250,9 @@ struct Parser
         out.clear();
         while (p < end && *p != '"') {
             char c = *p++;
+            // RFC 8259: control characters must be escaped.
+            if (static_cast<unsigned char>(c) < 0x20)
+                return fail("raw control character in string");
             if (c != '\\') {
                 out += c;
                 continue;

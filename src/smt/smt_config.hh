@@ -40,9 +40,11 @@ struct SmtConfig
     /** Which thread fetches each cycle. */
     FetchPolicy fetchPolicy = FetchPolicy::ICount;
 
-    /** Record per-cycle cross-thread contention samples (the
-     *  sibling-thread probe's raw observable). Off by default: long
-     *  runs would otherwise accumulate one sample per cycle/thread. */
+    /** Record per-cycle cross-thread contention samples, a debug and
+     *  golden-test stream (the sibling-thread probe reads the running
+     *  held-by-sibling totals in ThreadStats instead). Off by default:
+     *  it disables stall fast-forward, and long runs would accumulate
+     *  one sample per cycle/thread. */
     bool recordContention = false;
 
     /** A 1-thread configuration, cycle-identical to the plain Core. */

@@ -113,7 +113,10 @@ class System
     /// @{
     /** Reset every core and start the given workloads from cycle 0. */
     void beginRun(const std::vector<std::vector<const Program *>> &progs);
-    /** Step every unfinished core one cycle, ascending CoreId order.
+    /** Step every unfinished core one cycle, ascending CoreId order,
+     *  then skip the dead cycles that follow when every live core is
+     *  stalled (CoreConfig::fastForward, on by default; turn it off
+     *  for a strict one-cycle step).
      *  @return false once no core could step (all done). */
     bool tick();
     /** Every core's threads retired their Halts. */

@@ -15,7 +15,10 @@
  *
  * A second, NPEU-heavy mix (a quarter or more VSQRTPD ops) on one
  * and two threads covers the skip over waits on the held
- * non-pipelined unit.
+ * non-pipelined unit. A third walks the SMT probe attacks (port and
+ * MSHR channel, random gadget shapes, sharing policies and load
+ * jitter), whose score is the held-by-sibling totals that a skip must
+ * add in closed form.
  *
  * tests/test_golden_traces.cc pins the fixed-seed scenario points;
  * this file walks the configuration space around them.
@@ -27,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "attack/smt_probe.hh"
 #include "cpu/core.hh"
 #include "memory/hierarchy.hh"
 #include "sim/rng.hh"
@@ -142,6 +146,9 @@ expectDigestsEqual(const RunDigest &ff, const RunDigest &base,
         EXPECT_EQ(a.portContendedCycles, b.portContendedCycles) << at;
         EXPECT_EQ(a.mshrContendedCycles, b.mshrContendedCycles) << at;
         EXPECT_EQ(a.rsBlockedCycles, b.rsBlockedCycles) << at;
+        EXPECT_EQ(a.port0HeldByOtherCycles, b.port0HeldByOtherCycles)
+            << at;
+        EXPECT_EQ(a.mshrHeldByOtherCycles, b.mshrHeldByOtherCycles) << at;
         EXPECT_EQ(ff.regHashes[i], base.regHashes[i])
             << at << " architectural state diverged";
     }
@@ -333,6 +340,93 @@ TEST(FastForwardFuzzTest, NpeuHeavyProgramsMatchBaselineTickLoop)
         }
         if (!fastForwardMatches(pt, it))
             return;
+    }
+}
+
+/** One SMT probe trial (thread 0 victim, thread 1 probe). */
+struct ProbePoint
+{
+    SmtAttackParams params;
+    SchemeKind scheme = SchemeKind::Unsafe;
+    SmtConfig smt;
+    unsigned issueWidth = 8;
+    unsigned secret = 0;
+    std::uint64_t noiseSeed = 0;
+};
+
+RunDigest
+runProbe(const ProbePoint &pt, bool fast_forward,
+         std::uint64_t &score)
+{
+    CoreConfig cfg;
+    cfg.fastForward = fast_forward;
+    cfg.issueWidth = pt.issueWidth;
+    SmtProbeHarness harness(buildSmtAttack(pt.params), pt.scheme, cfg,
+                            pt.smt);
+    NoiseModel noise(NoiseConfig::calibrated(), pt.noiseSeed);
+    harness.core().setNoise(&noise);
+    harness.prepare(pt.secret, &noise);
+    const SmtTrialOutcome out = harness.runTrial();
+    score = out.score;
+
+    RunDigest d;
+    d.cycles = out.cycles;
+    d.finished = out.finished;
+    for (ThreadId t = 0; t < 2; ++t) {
+        d.threads.push_back(harness.core().engine().thread(t).stats);
+        d.regHashes.push_back(hashRegs(harness.core().engine(), t));
+    }
+    return d;
+}
+
+TEST(FastForwardFuzzTest, SmtProbeAttacksMatchBaselineTickLoop)
+{
+    // The probe's score is the running held-by-sibling total, so the
+    // skip must integrate every skipped span exactly — including MSHR
+    // entries that squashed wrong-path loads left live.
+    constexpr unsigned kSchemeCount = sizeof(kSchemes) / sizeof(kSchemes[0]);
+    constexpr SharingPolicy kWindows[] = {SharingPolicy::Shared,
+                                          SharingPolicy::Partitioned};
+    constexpr FetchPolicy kFetch[] = {FetchPolicy::ICount,
+                                      FetchPolicy::RoundRobin};
+    std::uint64_t state = kMasterSeed ^ 0x5307ULL;
+    for (unsigned it = 0; it < kIterations; ++it) {
+        ProbePoint pt;
+        const std::uint64_t seed = splitMix64(state);
+        Rng rng(seed);
+        pt.params.kind =
+            it % 2 == 0 ? SmtChannelKind::Port : SmtChannelKind::Mshr;
+        pt.params.predicateDepth = static_cast<unsigned>(rng.range(1, 4));
+        pt.params.gadgetLen = static_cast<unsigned>(rng.range(1, 12));
+        pt.params.mshrLoads = static_cast<unsigned>(rng.range(2, 12));
+        pt.params.probeOps = static_cast<unsigned>(rng.range(8, 64));
+        pt.scheme = kSchemes[(it / 2) % kSchemeCount];
+        pt.smt.robPolicy = pt.smt.rsPolicy = pt.smt.lqPolicy =
+            pt.smt.sqPolicy = kWindows[rng.below(2)];
+        pt.smt.fetchPolicy = kFetch[rng.below(2)];
+        pt.issueWidth = rng.below(2) == 0 ? 1u : 8u;
+        pt.secret = static_cast<unsigned>(rng.below(2));
+        pt.noiseSeed = rng.next();
+
+        char hex[17];
+        std::snprintf(hex, sizeof(hex), "%016llx",
+                      static_cast<unsigned long long>(seed));
+        const std::string what =
+            "iteration " + std::to_string(it) + " seed 0x" + hex + " " +
+            smtChannelKindName(pt.params.kind) + " probe, scheme " +
+            schemeName(pt.scheme) + ", " + smtConfigName(pt.smt) +
+            ", width " + std::to_string(pt.issueWidth) + ", secret " +
+            std::to_string(pt.secret);
+        SCOPED_TRACE(what);
+        std::uint64_t base_score = 0, ff_score = 0;
+        const RunDigest base = runProbe(pt, false, base_score);
+        const RunDigest ff = runProbe(pt, true, ff_score);
+        EXPECT_EQ(ff_score, base_score) << what;
+        expectDigestsEqual(ff, base, what);
+        if (::testing::Test::HasFailure()) {
+            ADD_FAILURE() << "first divergence at " << what;
+            return;
+        }
     }
 }
 

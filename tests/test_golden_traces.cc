@@ -13,7 +13,8 @@
  * fast-forward skip logic or a future rewrite — fails loudly with the
  * variant name. The SMT contention rows pin the
  * two-thread channel down to each thread's per-cycle contention
- * samples.
+ * samples, and check that a skipping run reports the same
+ * held-by-sibling totals as the recorded stream.
  *
  * tests/test_fastforward_fuzz.cc complements this with randomized
  * differential coverage; this file is the fixed-seed anchor.
@@ -513,14 +514,16 @@ constexpr SmtPolicyPoint kSmtPolicies[] = {
  * One SMT contention golden point. The channel fields come from
  * runSmtContentionChannel over 8 fixed bits with calibrated noise;
  * the per-thread fields from one load-jittered secret=1 trial of the
- * same attack, where every per-cycle ContentionSample of both threads
- * is folded into an FNV-1a hash. A narrow issue width makes the width
- * fill while ops wait on the held port, so whether a waiting op was
- * reached in age order before the width filled is pinned too.
- * Captured from the engine whose issue stage still retried every
- * ready candidate every cycle, so any change to when a thread is
- * denied a port or an MSHR — not only to the decoded scores — fails
- * here.
+ * same attack, recorded with SmtConfig::recordContention so that
+ * every per-cycle ContentionSample of both threads is folded into an
+ * FNV-1a hash. A narrow issue width makes the width fill while ops
+ * wait on the held port, so whether a waiting op was reached in age
+ * order before the width filled is pinned too. Captured from the
+ * engine whose issue stage still retried every ready candidate every
+ * cycle, so any change to when a thread is denied a port or an MSHR —
+ * not only to the decoded scores — fails here. The held-by-sibling
+ * totals (the probe's score inputs) were summed from the same sample
+ * stream before the engine kept them as running totals.
  */
 struct SmtGolden
 {
@@ -534,6 +537,9 @@ struct SmtGolden
     Tick trialCycles;
     std::uint64_t portContended[2], mshrContended[2];
     std::uint64_t sampleHash[2];
+    /** Cycles port 0 was held by the sibling, and MSHR entry-cycles
+     *  held by the sibling, per thread. */
+    std::uint64_t port0HeldByOther[2], mshrHeldByOther[2];
 };
 
 std::uint64_t
@@ -560,8 +566,53 @@ smtGoldenConfig(const SmtPolicyPoint &p)
     return smt;
 }
 
+/** One load-jittered secret=1 probe trial's per-thread results. */
+struct SmtTrialDigest
+{
+    Tick cycles = 0;
+    std::uint64_t portContended[2] = {0, 0}, mshrContended[2] = {0, 0};
+    std::uint64_t port0HeldByOther[2] = {0, 0};
+    std::uint64_t mshrHeldByOther[2] = {0, 0};
+    std::uint64_t sampleHash[2] = {0, 0};
+    /** The held-by-sibling totals integrated from the sample stream
+     *  (recorded trials only). */
+    std::uint64_t streamPort0[2] = {0, 0}, streamMshr[2] = {0, 0};
+};
+
+SmtTrialDigest
+runSmtGoldenTrial(SmtChannelKind kind, SchemeKind scheme,
+                  const CoreConfig &core, SmtConfig smt)
+{
+    SmtAttackParams params;
+    params.kind = kind;
+    SmtProbeHarness harness(buildSmtAttack(params), scheme, core, smt);
+    // Load jitter without mis-training failures, so the gadget runs
+    // and its resource use overlaps the probe's.
+    NoiseConfig jitter = NoiseConfig::calibrated();
+    jitter.mistrainFailProb = 0.0;
+    NoiseModel noise(jitter, 77);
+    harness.core().setNoise(&noise);
+    harness.prepare(1, &noise);
+    SmtTrialDigest d;
+    d.cycles = harness.runTrial().cycles;
+    for (ThreadId t = 0; t < 2; ++t) {
+        const ThreadStats &st = harness.core().engine().thread(t).stats;
+        d.portContended[t] = st.portContendedCycles;
+        d.mshrContended[t] = st.mshrContendedCycles;
+        d.port0HeldByOther[t] = st.port0HeldByOtherCycles;
+        d.mshrHeldByOther[t] = st.mshrHeldByOtherCycles;
+        const auto &samples = harness.core().contention(t);
+        d.sampleHash[t] = fnv1aSamples(samples);
+        for (const ContentionSample &s : samples) {
+            d.streamPort0[t] += s.port0HeldByOther ? 1 : 0;
+            d.streamMshr[t] += s.mshrHeldByOther;
+        }
+    }
+    return d;
+}
+
 /** Measure one golden point (kind, scheme, policy and issue width
- *  are the inputs). */
+ *  are the inputs) from the recorded trial. */
 SmtGolden
 measureSmtGolden(SmtChannelKind kind, SchemeKind scheme, unsigned policy,
                  unsigned issue_width)
@@ -590,57 +641,56 @@ measureSmtGolden(SmtChannelKind kind, SchemeKind scheme, unsigned policy,
     g.totalCycles = res.channel.totalCycles;
     g.bitErrors = res.channel.bitErrors;
 
-    SmtAttackParams params;
-    params.kind = kind;
-    SmtProbeHarness harness(buildSmtAttack(params), scheme, core, smt);
-    // Load jitter without mis-training failures, so the gadget runs
-    // and its resource use overlaps the probe's.
-    NoiseConfig jitter = NoiseConfig::calibrated();
-    jitter.mistrainFailProb = 0.0;
-    NoiseModel noise(jitter, 77);
-    harness.core().setNoise(&noise);
-    harness.prepare(1, &noise);
-    g.trialCycles = harness.runTrial().cycles;
+    SmtConfig recorded = smt;
+    recorded.recordContention = true;
+    const SmtTrialDigest d =
+        runSmtGoldenTrial(kind, scheme, core, recorded);
+    g.trialCycles = d.cycles;
     for (ThreadId t = 0; t < 2; ++t) {
-        const ThreadStats &st = harness.core().engine().thread(t).stats;
-        g.portContended[t] = st.portContendedCycles;
-        g.mshrContended[t] = st.mshrContendedCycles;
-        g.sampleHash[t] = fnv1aSamples(harness.core().contention(t));
+        g.portContended[t] = d.portContended[t];
+        g.mshrContended[t] = d.mshrContended[t];
+        g.sampleHash[t] = d.sampleHash[t];
+        g.port0HeldByOther[t] = d.port0HeldByOther[t];
+        g.mshrHeldByOther[t] = d.mshrHeldByOther[t];
+        EXPECT_EQ(d.port0HeldByOther[t], d.streamPort0[t])
+            << "thread " << t << ": running port-0 total != stream sum";
+        EXPECT_EQ(d.mshrHeldByOther[t], d.streamMshr[t])
+            << "thread " << t << ": running MSHR total != stream sum";
     }
     return g;
 }
 
 constexpr SmtGolden kSmtGoldens[] = {
-    {SmtChannelKind::Port, SchemeKind::Unsafe, 0, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
-    {SmtChannelKind::Port, SchemeKind::Unsafe, 1, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
-    {SmtChannelKind::Port, SchemeKind::Unsafe, 2, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
-    {SmtChannelKind::Port, SchemeKind::DomNonTso, 0, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
-    {SmtChannelKind::Port, SchemeKind::DomNonTso, 1, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
-    {SmtChannelKind::Port, SchemeKind::DomNonTso, 2, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
-    {SmtChannelKind::Port, SchemeKind::AdvancedDefense, 0, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
-    {SmtChannelKind::Port, SchemeKind::AdvancedDefense, 1, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
-    {SmtChannelKind::Port, SchemeKind::AdvancedDefense, 2, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}},
-    {SmtChannelKind::Port, SchemeKind::FenceSpectre, 0, 8, 0, 0, 21800, 3, 1045, {0, 0}, {0, 0}, {0x7dc21ec0c5c742a3ULL, 0x4f2178b3e7942e43ULL}},
-    {SmtChannelKind::Port, SchemeKind::FenceSpectre, 1, 8, 0, 0, 21800, 3, 1045, {0, 0}, {0, 0}, {0x7dc21ec0c5c742a3ULL, 0x4f2178b3e7942e43ULL}},
-    {SmtChannelKind::Port, SchemeKind::FenceSpectre, 2, 8, 0, 0, 21800, 3, 1045, {0, 0}, {0, 0}, {0x7dc21ec0c5c742a3ULL, 0x4f2178b3e7942e43ULL}},
-    {SmtChannelKind::Mshr, SchemeKind::Unsafe, 0, 8, 168, 562, 18907, 0, 1045, {0, 3}, {9, 9}, {0x0f317c35c1ca07b0ULL, 0x92407a5312abea6fULL}},
-    {SmtChannelKind::Mshr, SchemeKind::Unsafe, 1, 8, 168, 562, 18907, 0, 1045, {0, 3}, {9, 9}, {0x0f317c35c1ca07b0ULL, 0x92407a5312abea6fULL}},
-    {SmtChannelKind::Mshr, SchemeKind::Unsafe, 2, 8, 168, 562, 18884, 0, 1045, {0, 3}, {9, 9}, {0x0f317c35c1ca07b0ULL, 0x92407a5312abea6fULL}},
-    {SmtChannelKind::Mshr, SchemeKind::DomNonTso, 0, 8, 112, 112, 18824, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}},
-    {SmtChannelKind::Mshr, SchemeKind::DomNonTso, 1, 8, 112, 112, 18824, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}},
-    {SmtChannelKind::Mshr, SchemeKind::DomNonTso, 2, 8, 112, 112, 18835, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}},
-    {SmtChannelKind::Mshr, SchemeKind::AdvancedDefense, 0, 8, 112, 112, 18824, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}},
-    {SmtChannelKind::Mshr, SchemeKind::AdvancedDefense, 1, 8, 112, 112, 18824, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}},
-    {SmtChannelKind::Mshr, SchemeKind::AdvancedDefense, 2, 8, 112, 112, 18835, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}},
-    {SmtChannelKind::Mshr, SchemeKind::FenceSpectre, 0, 8, 112, 112, 18820, 3, 1045, {0, 1}, {0, 3}, {0x08baf1b507d99719ULL, 0x40dad681d46767dbULL}},
-    {SmtChannelKind::Mshr, SchemeKind::FenceSpectre, 1, 8, 112, 112, 18820, 3, 1045, {0, 1}, {0, 3}, {0x08baf1b507d99719ULL, 0x40dad681d46767dbULL}},
-    {SmtChannelKind::Mshr, SchemeKind::FenceSpectre, 2, 8, 112, 112, 18784, 3, 1045, {0, 1}, {0, 3}, {0x08baf1b507d99719ULL, 0x40dad681d46767dbULL}},
+    {SmtChannelKind::Port, SchemeKind::Unsafe, 0, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}, {720, 30}, {0, 112}},
+    {SmtChannelKind::Port, SchemeKind::Unsafe, 1, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}, {720, 30}, {0, 112}},
+    {SmtChannelKind::Port, SchemeKind::Unsafe, 2, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}, {720, 30}, {0, 112}},
+    {SmtChannelKind::Port, SchemeKind::DomNonTso, 0, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}, {720, 30}, {0, 112}},
+    {SmtChannelKind::Port, SchemeKind::DomNonTso, 1, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}, {720, 30}, {0, 112}},
+    {SmtChannelKind::Port, SchemeKind::DomNonTso, 2, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}, {720, 30}, {0, 112}},
+    {SmtChannelKind::Port, SchemeKind::AdvancedDefense, 0, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}, {720, 30}, {0, 112}},
+    {SmtChannelKind::Port, SchemeKind::AdvancedDefense, 1, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}, {720, 30}, {0, 112}},
+    {SmtChannelKind::Port, SchemeKind::AdvancedDefense, 2, 8, 0, 30, 21905, 0, 1045, {73, 30}, {0, 0}, {0x5fcedcfdfaec75e6ULL, 0x015c55ce8b37f063ULL}, {720, 30}, {0, 112}},
+    {SmtChannelKind::Port, SchemeKind::FenceSpectre, 0, 8, 0, 0, 21800, 3, 1045, {0, 0}, {0, 0}, {0x7dc21ec0c5c742a3ULL, 0x4f2178b3e7942e43ULL}, {720, 0}, {0, 112}},
+    {SmtChannelKind::Port, SchemeKind::FenceSpectre, 1, 8, 0, 0, 21800, 3, 1045, {0, 0}, {0, 0}, {0x7dc21ec0c5c742a3ULL, 0x4f2178b3e7942e43ULL}, {720, 0}, {0, 112}},
+    {SmtChannelKind::Port, SchemeKind::FenceSpectre, 2, 8, 0, 0, 21800, 3, 1045, {0, 0}, {0, 0}, {0x7dc21ec0c5c742a3ULL, 0x4f2178b3e7942e43ULL}, {720, 0}, {0, 112}},
+    {SmtChannelKind::Mshr, SchemeKind::Unsafe, 0, 8, 168, 562, 18907, 0, 1045, {0, 3}, {9, 9}, {0x0f317c35c1ca07b0ULL, 0x92407a5312abea6fULL}, {0, 0}, {2866, 580}},
+    {SmtChannelKind::Mshr, SchemeKind::Unsafe, 1, 8, 168, 562, 18907, 0, 1045, {0, 3}, {9, 9}, {0x0f317c35c1ca07b0ULL, 0x92407a5312abea6fULL}, {0, 0}, {2866, 580}},
+    {SmtChannelKind::Mshr, SchemeKind::Unsafe, 2, 8, 168, 562, 18884, 0, 1045, {0, 3}, {9, 9}, {0x0f317c35c1ca07b0ULL, 0x92407a5312abea6fULL}, {0, 0}, {2866, 580}},
+    {SmtChannelKind::Mshr, SchemeKind::DomNonTso, 0, 8, 112, 112, 18824, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}, {0, 0}, {3049, 112}},
+    {SmtChannelKind::Mshr, SchemeKind::DomNonTso, 1, 8, 112, 112, 18824, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}, {0, 0}, {3049, 112}},
+    {SmtChannelKind::Mshr, SchemeKind::DomNonTso, 2, 8, 112, 112, 18835, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}, {0, 0}, {3049, 112}},
+    {SmtChannelKind::Mshr, SchemeKind::AdvancedDefense, 0, 8, 112, 112, 18824, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}, {0, 0}, {3049, 112}},
+    {SmtChannelKind::Mshr, SchemeKind::AdvancedDefense, 1, 8, 112, 112, 18824, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}, {0, 0}, {3049, 112}},
+    {SmtChannelKind::Mshr, SchemeKind::AdvancedDefense, 2, 8, 112, 112, 18835, 3, 1045, {0, 1}, {0, 3}, {0x09b7928892490014ULL, 0x40dad681d46767dbULL}, {0, 0}, {3049, 112}},
+    {SmtChannelKind::Mshr, SchemeKind::FenceSpectre, 0, 8, 112, 112, 18820, 3, 1045, {0, 1}, {0, 3}, {0x08baf1b507d99719ULL, 0x40dad681d46767dbULL}, {0, 0}, {2968, 112}},
+    {SmtChannelKind::Mshr, SchemeKind::FenceSpectre, 1, 8, 112, 112, 18820, 3, 1045, {0, 1}, {0, 3}, {0x08baf1b507d99719ULL, 0x40dad681d46767dbULL}, {0, 0}, {2968, 112}},
+    {SmtChannelKind::Mshr, SchemeKind::FenceSpectre, 2, 8, 112, 112, 18784, 3, 1045, {0, 1}, {0, 3}, {0x08baf1b507d99719ULL, 0x40dad681d46767dbULL}, {0, 0}, {2968, 112}},
     // Issue width 1: the victim's issues fill the width ahead of the
     // probe's waiting VSQRTPD ops on some cycles.
-    {SmtChannelKind::Port, SchemeKind::Unsafe, 0, 1, 0, 30, 21913, 0, 1045, {67, 28}, {0, 0}, {0x9e8388247a7d936aULL, 0xed45e6410d733fabULL}},
-    {SmtChannelKind::Port, SchemeKind::DomNonTso, 0, 1, 0, 30, 21913, 0, 1045, {67, 28}, {0, 0}, {0x9e8388247a7d936aULL, 0xed45e6410d733fabULL}},
-    {SmtChannelKind::Port, SchemeKind::AdvancedDefense, 0, 1, 0, 30, 21913, 0, 1045, {67, 28}, {0, 0}, {0x9e8388247a7d936aULL, 0xed45e6410d733fabULL}},
-    {SmtChannelKind::Port, SchemeKind::FenceSpectre, 0, 1, 0, 0, 21800, 3, 1045, {0, 0}, {0, 0}, {0x7dc21ec0c5c742a3ULL, 0x4f2178b3e7942e43ULL}},
+    {SmtChannelKind::Port, SchemeKind::Unsafe, 0, 1, 0, 30, 21913, 0, 1045, {67, 28}, {0, 0}, {0x9e8388247a7d936aULL, 0xed45e6410d733fabULL}, {720, 30}, {0, 112}},
+    {SmtChannelKind::Port, SchemeKind::DomNonTso, 0, 1, 0, 30, 21913, 0, 1045, {67, 28}, {0, 0}, {0x9e8388247a7d936aULL, 0xed45e6410d733fabULL}, {720, 30}, {0, 112}},
+    {SmtChannelKind::Port, SchemeKind::AdvancedDefense, 0, 1, 0, 30, 21913, 0, 1045, {67, 28}, {0, 0}, {0x9e8388247a7d936aULL, 0xed45e6410d733fabULL}, {720, 30}, {0, 112}},
+    {SmtChannelKind::Port, SchemeKind::FenceSpectre, 0, 1, 0, 0, 21800, 3, 1045, {0, 0}, {0, 0}, {0x7dc21ec0c5c742a3ULL, 0x4f2178b3e7942e43ULL}, {720, 0}, {0, 112}},
 };
 
 class SmtContentionGoldenTest : public ::testing::TestWithParam<SmtGolden>
@@ -666,6 +716,28 @@ TEST_P(SmtContentionGoldenTest, ContentionStreamMatchesGolden)
         EXPECT_EQ(got.mshrContended[t], want.mshrContended[t]) << at;
         EXPECT_EQ(got.sampleHash[t], want.sampleHash[t])
             << at << " contention sample stream diverged";
+        EXPECT_EQ(got.port0HeldByOther[t], want.port0HeldByOther[t]) << at;
+        EXPECT_EQ(got.mshrHeldByOther[t], want.mshrHeldByOther[t]) << at;
+    }
+
+    // The probe's own configuration: no sample stream, so the trial is
+    // skip-eligible, and fastForwardTo() must add each skipped span's
+    // held-by-sibling cycles in closed form.
+    CoreConfig core;
+    core.issueWidth = want.issueWidth;
+    core.fastForward = true;
+    const SmtConfig smt = smtGoldenConfig(kSmtPolicies[want.policy]);
+    ASSERT_FALSE(smt.recordContention);
+    const SmtTrialDigest ff =
+        runSmtGoldenTrial(want.kind, want.scheme, core, smt);
+    EXPECT_EQ(ff.cycles, want.trialCycles) << what << " fast-forward";
+    for (unsigned t = 0; t < 2; ++t) {
+        const std::string at =
+            what + " fast-forward thread " + std::to_string(t);
+        EXPECT_EQ(ff.portContended[t], want.portContended[t]) << at;
+        EXPECT_EQ(ff.mshrContended[t], want.mshrContended[t]) << at;
+        EXPECT_EQ(ff.port0HeldByOther[t], want.port0HeldByOther[t]) << at;
+        EXPECT_EQ(ff.mshrHeldByOther[t], want.mshrHeldByOther[t]) << at;
     }
 }
 

@@ -203,9 +203,8 @@ TEST_F(ObservabilityTest, RenderJsonEscapesControlCharacters)
     tracer.complete(tracer.track(name), "inst", "pipeline", 1, 1);
 
     const std::string json = tracer.renderJson();
-    // JSON strings may not hold raw control characters.
-    EXPECT_EQ(json.find(name), std::string::npos);
     EXPECT_NE(json.find("\"a\\nb\\u0001\""), std::string::npos);
+    // The parser rejects raw control characters inside strings.
     service::Json doc;
     std::string error;
     ASSERT_TRUE(service::Json::parse(json, doc, &error)) << error;

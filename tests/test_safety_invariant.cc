@@ -471,11 +471,13 @@ TEST(SafetyWorkCounter, NoDeferredVisibilityMeansNoWork)
  * stream) and memStallSpec (serial pointer chases over a footprint far
  * beyond the small hierarchy, so most cycles stall on misses — the
  * profile the stall fast-forward targets), 4000 instructions each, on
- * Core, a two-thread SmtCore and a two-core System. Each runs under
+ * Core, a two-thread SmtCore and a two-core System, plus the
+ * SmtProbeHarness port and MSHR attacks (one trial per secret), whose
+ * probe score is a running total the skip must keep. Each runs under
  * the unsafe baseline, a fence scheme (gate-parked issue) and a
  * deferred-visibility scheme (the event-driven safety stage).
  */
-enum class GateEngine { Core, Smt, System };
+enum class GateEngine { Core, Smt, System, PortProbe, MshrProbe };
 
 WorkloadSpec
 memStallSpec()
@@ -525,9 +527,16 @@ struct GateRow
 std::string
 gateName(const GateRow &row)
 {
-    static const char *const kEngines[] = {"Core", "SmtCore", "System"};
-    return std::string(kEngines[static_cast<int>(row.engine)]) + "/4000" +
-           (row.memstall ? "/memstall " : " ") + schemeName(row.scheme);
+    static const char *const kEngines[] = {"Core", "SmtCore", "System",
+                                           "SmtProbe/port",
+                                           "SmtProbe/mshr"};
+    const std::string engine = kEngines[static_cast<int>(row.engine)];
+    if (row.engine == GateEngine::PortProbe ||
+        row.engine == GateEngine::MshrProbe) {
+        return engine + " " + schemeName(row.scheme);
+    }
+    return engine + "/4000" + (row.memstall ? "/memstall " : " ") +
+           schemeName(row.scheme);
 }
 
 /** gtest's failure listing names the row, not its bytes. */
@@ -607,6 +616,21 @@ runGate(const GateRow &row, bool fast_forward)
             w.add(sys.core(c));
         break;
       }
+      case GateEngine::PortProbe:
+      case GateEngine::MshrProbe: {
+        SmtAttackParams params;
+        params.kind = row.engine == GateEngine::PortProbe
+                          ? SmtChannelKind::Port
+                          : SmtChannelKind::Mshr;
+        for (unsigned secret = 0; secret < 2; ++secret) {
+            SmtProbeHarness harness(buildSmtAttack(params), row.scheme,
+                                    cfg);
+            harness.prepare(secret);
+            EXPECT_TRUE(harness.runTrial().finished) << what;
+            w.add(harness.core().engine());
+        }
+        break;
+      }
     }
     return w;
 }
@@ -614,6 +638,8 @@ runGate(const GateRow &row, bool fast_forward)
 constexpr GateEngine kCore = GateEngine::Core;
 constexpr GateEngine kSmt = GateEngine::Smt;
 constexpr GateEngine kSys = GateEngine::System;
+constexpr GateEngine kPortProbe = GateEngine::PortProbe;
+constexpr GateEngine kMshrProbe = GateEngine::MshrProbe;
 constexpr SchemeKind kUnsafe = SchemeKind::Unsafe;
 constexpr SchemeKind kFence = SchemeKind::FenceSpectre;
 constexpr SchemeKind kDom = SchemeKind::DomNonTso;
@@ -641,6 +667,16 @@ const GateRow kGateRows[] = {
     {kSmt, true, kDom, 0.26, 140, 0.0054},
     {kSys, false, kDom, 0.23, 17, 0.011},
     {kSys, true, kDom, 0.83, 280, 0.00018},
+    // Two probe trials, 2090 cycles. The port probe's parked VSQRTPD
+    // ops retry every cycle the sibling holds the unit (each attempt
+    // sets the contention flag), so it ticks most cycles; the MSHR
+    // probe waits on fills and skips them.
+    {kPortProbe, false, kUnsafe, 0.70, 14, 0},
+    {kPortProbe, false, kFence, 0.69, 13, 0},
+    {kPortProbe, false, kDom, 0.70, 15, 0},
+    {kMshrProbe, false, kUnsafe, 0.094, 27, 0},
+    {kMshrProbe, false, kFence, 0.088, 18, 0},
+    {kMshrProbe, false, kDom, 0.088, 35, 0},
 };
 
 class WorkGate : public ::testing::TestWithParam<GateRow>

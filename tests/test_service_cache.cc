@@ -3,9 +3,11 @@
  * Tests of the --cache-dir result cache (src/sim/service/cache.*):
  * canonical-key stability and sensitivity (every semantic input must
  * change the key), store/lookup round-trips through the row codec,
- * and the corruption defenses — truncated, garbage, tampered and
+ * the corruption defenses — truncated, garbage, tampered and
  * version-skewed entries must all be rejected and recomputed, never
- * trusted.
+ * trusted — and the removal of tmp files orphaned by killed writers.
+ * The JSON model's string escaping is checked here too, since every
+ * entry and index goes through it.
  */
 
 #include <gtest/gtest.h>
@@ -195,6 +197,30 @@ TEST(CacheKey, AxisValuesAreEncoded)
 // ResultCache
 // --------------------------------------------------------------------------
 
+TEST(Json, RawControlCharacterInStringIsRejected)
+{
+    // RFC 8259: a string may not hold a raw byte below 0x20.
+    Json doc;
+    std::string error;
+    EXPECT_FALSE(Json::parse("{\"k\":\"a\nb\"}", doc, &error));
+    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(Json::parse("[\"\x01\"]", doc));
+}
+
+TEST(Json, EscapedControlCharactersRoundTrip)
+{
+    const std::string value = "a\nb\tc\x01\x1f\"\\";
+    Json obj = Json::object();
+    obj.set("k", Json::str(value));
+    const std::string text = obj.dump();
+    for (const char c : text)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << text;
+    Json back;
+    std::string error;
+    ASSERT_TRUE(Json::parse(text, back, &error)) << error;
+    EXPECT_EQ(back.getStr("k"), value);
+}
+
 TEST(ResultCache, StoreLookupRoundTripsEveryValueKind)
 {
     TempDir tmp;
@@ -357,6 +383,33 @@ TEST(ResultCache, FingerprintChangeMissesOldEntries)
     std::string legacy;
     EXPECT_FALSE(cache.lookup(new_key, out, legacy));
     EXPECT_TRUE(cache.lookup(old_key, out, legacy));
+}
+
+TEST(ResultCache, OpeningRemovesOnlyOrphanedTmpFiles)
+{
+    // A writer killed between writing tmp/<hex>.<pid> and renaming it
+    // leaves the file behind; the next open removes it once that pid
+    // is gone, and leaves files of live writers (here: this process)
+    // alone.
+    TempDir tmp;
+    fs::create_directories(tmp.path / "tmp");
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0)
+        ::_exit(0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child); // reaped: pid gone
+    const fs::path orphan =
+        tmp.path / "tmp" / ("0123abcd." + std::to_string(child));
+    const fs::path live =
+        tmp.path / "tmp" / ("4567ef01." + std::to_string(::getpid()));
+    std::ofstream(orphan) << "half-written";
+    std::ofstream(live) << "being written";
+
+    ResultCache cache(tmp.path.string());
+    ASSERT_TRUE(cache.enabled());
+    EXPECT_FALSE(fs::exists(orphan));
+    EXPECT_TRUE(fs::exists(live));
 }
 
 TEST(ResultCache, ConcurrentWritersNeverLoseIndexUpdates)

@@ -152,6 +152,9 @@ TEST(SystemTest, TickStepsEveryUnfinishedCoreOncePerCycle)
     slow.halt();
 
     SystemConfig cfg;
+    // The literal one-cycle tick() contract: stall fast-forward would
+    // let one tick() advance the clocks past a dead stretch.
+    cfg.core.fastForward = false;
     System sys(cfg);
     sys.beginRun({{&fast}, {&slow}});
     ASSERT_FALSE(sys.halted());
